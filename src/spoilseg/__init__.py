@@ -18,7 +18,7 @@ from .hoover import (
     hoover_scores,
     overlap_table,
 )
-from .labels import drop_small_regions, relabel_connected
+from .labels import drop_small_regions, merge_small_regions, relabel_connected
 from .meanshift import MeanShiftParams, mean_shift_filter, mean_shift_segment
 from .raster_io import (
     FormatError,
@@ -31,7 +31,7 @@ from .raster_io import (
     write_pgm16,
     write_ppm,
 )
-from .slic import SlicParams, enforce_connectivity, slic
+from .slic import SlicParams, slic
 from .sweep import (
     ExternalMaskMetadata,
     SweepConfig,
@@ -76,7 +76,6 @@ __all__ = [
     "detect_local_maxima",
     "drop_small_regions",
     "emit_report",
-    "enforce_connectivity",
     "evaluate_segmentation",
     "filter_background_seeds",
     "gaussian_blur",
@@ -88,6 +87,7 @@ __all__ = [
     "load_sweep_config",
     "mean_shift_filter",
     "mean_shift_segment",
+    "merge_small_regions",
     "otsu_threshold",
     "overlap_table",
     "quantize8",

@@ -10,24 +10,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .colorspace import rgb_to_lab
-from .hoover import evaluate_segmentation, hoover_classify, overlap_table
+from .hoover import hoover_classify, hoover_scores, overlap_table
 from .labels import relabel_connected
-from .meanshift import MeanShiftParams, mean_shift_segment
 from .raster_io import (
     FormatError,
     read_asc_grid,
-    read_gray_pgm16,
     read_pgm16,
-    read_ppm,
     write_asc_grid,
     write_gray_pgm16,
     write_pgm16,
 )
-from .slic import SlicParams, slic
 from .sweep import (
+    ALGORITHMS,
     ExternalMaskMetadata,
     emit_report,
     ingest_external_mask,
@@ -36,7 +33,6 @@ from .sweep import (
 )
 from .synth import synth_pilefield
 from .terrain import HillshadeParams, StretchParams, hillshade, quantize8, sigmoidal_stretch
-from .voronoi import VoronoiParams, voronoi_pipeline
 
 
 def _cmd_hillshade(args: argparse.Namespace) -> int:
@@ -54,27 +50,12 @@ def _cmd_hillshade(args: argparse.Namespace) -> int:
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
-    if args.method == "meanshift":
-        img = read_ppm(args.input)
-        params = MeanShiftParams(
-            spatial_radius=args.hs,
-            range_radius=args.hr,
-            min_region_size=args.min_region,
-        )
-        seg = mean_shift_segment(img, params)
-    elif args.method == "slic":
-        img = read_ppm(args.input)
-        seg = slic(rgb_to_lab(img), SlicParams(superpixels=args.k, compactness=args.m, iterations=args.iterations))
-    else:
-        gray = read_gray_pgm16(args.input)
-        params = VoronoiParams(
-            sigma=args.sigma,
-            peak_radius=args.peak_radius,
-            restrict_to_foreground=not args.no_restrict,
-            invert_foreground=args.invert,
-        )
-        seg = voronoi_pipeline(gray, params)
-    write_pgm16(relabel_connected(seg), args.out)
+    algo = ALGORITHMS[args.method]
+    raster = algo.load(args.input)
+    # each subparser stores its options under the Params field names
+    given = vars(args)
+    params = algo.params(**{f.name: given[f.name] for f in fields(algo.params) if f.name in given})
+    write_pgm16(relabel_connected(algo.segment(raster, params)), args.out)
     return 0
 
 
@@ -85,8 +66,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         gt = relabel_connected(gt)
         pred = relabel_connected(pred)
     table = overlap_table(gt, pred)
+    if not table.gt_sizes:
+        raise ValueError("ground truth has no regions")
     classification = hoover_classify(table, args.threshold)
-    scores = evaluate_segmentation(gt, pred, args.threshold)
+    scores = hoover_scores(classification, len(table.gt_sizes), len(table.ms_sizes), args.threshold)
     payload = scores.to_dict()
     payload["instances"] = {
         "correct_pairs": [list(p) for p in classification.correct_pairs],
@@ -161,16 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     ms = seg_sub.add_parser("meanshift")
     ms.add_argument("--in", dest="input", required=True)
-    ms.add_argument("--hs", type=float, default=5.0, help="spatial radius in pixels")
-    ms.add_argument("--hr", type=float, default=20.0, help="range radius in digital numbers")
-    ms.add_argument("--min-region", dest="min_region", type=int, default=10000)
+    ms.add_argument("--hs", dest="spatial_radius", type=float, default=5.0, help="spatial radius in pixels")
+    ms.add_argument("--hr", dest="range_radius", type=float, default=20.0, help="range radius in digital numbers")
+    ms.add_argument("--min-region", dest="min_region_size", type=int, default=10000)
     ms.add_argument("--out", required=True)
     ms.set_defaults(func=_cmd_segment)
 
     sl = seg_sub.add_parser("slic")
     sl.add_argument("--in", dest="input", required=True)
-    sl.add_argument("--k", type=int, default=550, help="superpixel count")
-    sl.add_argument("--m", type=float, default=30.0, help="compactness weight")
+    sl.add_argument("--k", dest="superpixels", type=int, default=550, help="superpixel count")
+    sl.add_argument("--m", dest="compactness", type=float, default=30.0, help="compactness weight")
     sl.add_argument("--iterations", type=int, default=10)
     sl.add_argument("--out", required=True)
     sl.set_defaults(func=_cmd_segment)
@@ -179,8 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     vo.add_argument("--in", dest="input", required=True, help="8-bit gray PGM16")
     vo.add_argument("--sigma", type=float, default=12.0)
     vo.add_argument("--peak-radius", dest="peak_radius", type=int, default=None)
-    vo.add_argument("--no-restrict", action="store_true", help="tessellate the full frame")
-    vo.add_argument("--invert", action="store_true", help="foreground below the threshold")
+    vo.add_argument(
+        "--no-restrict", dest="restrict_to_foreground", action="store_false", help="tessellate the full frame"
+    )
+    vo.add_argument("--invert", dest="invert_foreground", action="store_true", help="foreground below the threshold")
     vo.add_argument("--out", required=True)
     vo.set_defaults(func=_cmd_segment)
 

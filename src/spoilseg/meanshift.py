@@ -16,6 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .grids import LabelMap, RasterRGB
+from .labels import merge_small_regions
 
 
 @dataclass
@@ -161,85 +162,9 @@ def _link_components(modes: np.ndarray, p: MeanShiftParams) -> np.ndarray:
     return comp.reshape(h, w)
 
 
-def _scan_order_relabel(labels: np.ndarray) -> np.ndarray:
-    """Renumber labels 1..K by first raster-scan occurrence."""
-    flat = labels.ravel()
-    uniq, first = np.unique(flat, return_index=True)
-    order = np.argsort(first, kind="stable")
-    remap = np.empty(uniq.max() + 1, dtype=np.int32)
-    remap[uniq[order]] = np.arange(1, uniq.size + 1, dtype=np.int32)
-    return remap[flat].reshape(labels.shape)
-
-
-def _fuse_small_regions(
-    labels: np.ndarray, mode_colors: np.ndarray, min_size: int
-) -> np.ndarray:
-    """Merge regions under min_size into their closest-colour 4-neighbour.
-
-    The smallest region merges first (ties: lower id); the target is the
-    adjacent region with minimum Euclidean distance between mean mode
-    colours (ties: lower id).  Stops when all regions reach min_size or one
-    region remains.
-    """
-    flat = labels.ravel()
-    n_labels = int(flat.max()) + 1
-    sizes = np.bincount(flat, minlength=n_labels).astype(np.int64)
-    sums = np.zeros((n_labels, 3), dtype=np.float64)
-    for ch in range(3):
-        sums[:, ch] = np.bincount(flat, weights=mode_colors[..., ch].ravel(), minlength=n_labels)
-
-    neighbors: dict[int, set[int]] = {int(l): set() for l in np.unique(flat)}
-    h_pairs = np.column_stack([labels[:, :-1].ravel(), labels[:, 1:].ravel()])
-    v_pairs = np.column_stack([labels[:-1, :].ravel(), labels[1:, :].ravel()])
-    pairs = np.vstack([h_pairs, v_pairs]) if h_pairs.size or v_pairs.size else np.empty((0, 2), int)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    for a, b in np.unique(pairs, axis=0):
-        neighbors[int(a)].add(int(b))
-        neighbors[int(b)].add(int(a))
-
-    parent = np.arange(n_labels)
-    active = set(neighbors)
-    while len(active) > 1:
-        small = [l for l in active if sizes[l] < min_size]
-        if not small:
-            break
-        src = min(small, key=lambda l: (sizes[l], l))
-        nbrs = neighbors[src]
-        if not nbrs:
-            break
-        src_mean = sums[src] / sizes[src]
-
-        def color_gap(l: int) -> float:
-            return float(np.sqrt(((sums[l] / sizes[l] - src_mean) ** 2).sum()))
-
-        dst = min(nbrs, key=lambda l: (color_gap(l), l))
-        sizes[dst] += sizes[src]
-        sums[dst] += sums[src]
-        parent[src] = dst
-        for l in nbrs:
-            neighbors[l].discard(src)
-            if l != dst:
-                neighbors[l].add(dst)
-                neighbors[dst].add(l)
-        neighbors[dst].discard(dst)
-        del neighbors[src]
-        active.remove(src)
-
-    # resolve merge chains
-    root = np.arange(n_labels)
-    for l in range(n_labels):
-        r = l
-        while parent[r] != r:
-            r = parent[r]
-        root[l] = r
-    return root[flat].reshape(labels.shape)
-
-
 def mean_shift_segment(img: RasterRGB, p: MeanShiftParams | None = None) -> LabelMap:
     """Full mean shift segmentation: filter, cluster, fuse, relabel 1..K."""
     p = p if p is not None else MeanShiftParams()
     modes = mean_shift_filter(img, p)
     comp = _link_components(modes, p)
-    comp = _scan_order_relabel(comp)
-    fused = _fuse_small_regions(comp, modes[..., 2:], p.min_region_size)
-    return LabelMap(_scan_order_relabel(fused))
+    return merge_small_regions(LabelMap(comp + 1), p.min_region_size, colors=modes[..., 2:])

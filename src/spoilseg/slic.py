@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import LabelMap, LabImage
-from .labels import relabel_connected
+from .labels import merge_small_regions
 
 
 @dataclass
@@ -134,77 +134,4 @@ def slic(img: LabImage, params: SlicParams | None = None) -> LabelMap:
     min_size = p.min_region_size
     if min_size is None:
         min_size = max(1, (n // p.superpixels) // 4)
-    return enforce_connectivity(LabelMap(assign.astype(np.int32) + 1), min_size)
-
-
-def _boundary_counts(labels: np.ndarray) -> dict[tuple[int, int], int]:
-    """Shared 4-adjacent pixel-pair counts between distinct labels."""
-    pairs = []
-    if labels.shape[1] > 1:
-        pairs.append(np.column_stack([labels[:, :-1].ravel(), labels[:, 1:].ravel()]))
-    if labels.shape[0] > 1:
-        pairs.append(np.column_stack([labels[:-1, :].ravel(), labels[1:, :].ravel()]))
-    counts: dict[tuple[int, int], int] = {}
-    if not pairs:
-        return counts
-    allp = np.vstack(pairs)
-    allp = allp[allp[:, 0] != allp[:, 1]]
-    allp.sort(axis=1)
-    uniq, cnt = np.unique(allp, axis=0, return_counts=True)
-    for (a, b), c in zip(uniq, cnt):
-        counts[(int(a), int(b))] = int(c)
-    return counts
-
-
-def enforce_connectivity(label_map: LabelMap, min_size: int) -> LabelMap:
-    """Split labels into components, then absorb fragments below min_size.
-
-    The smallest fragment is absorbed first (ties: lower id) into the
-    adjacent component sharing the longest boundary (ties: lower id).
-    Background pixels are left untouched and never absorb anything.
-    """
-    current = relabel_connected(label_map, connectivity=4)
-    labels = current.labels.astype(np.int64)
-    n_labels = int(labels.max()) + 1
-    if n_labels <= 1:
-        return current
-    sizes = np.bincount(labels.ravel(), minlength=n_labels).astype(np.int64)
-
-    boundary: dict[int, dict[int, int]] = {l: {} for l in range(1, n_labels)}
-    for (a, b), c in _boundary_counts(labels).items():
-        if a == 0 or b == 0:
-            continue
-        boundary[a][b] = boundary[a].get(b, 0) + c
-        boundary[b][a] = boundary[b].get(a, 0) + c
-
-    parent = np.arange(n_labels)
-    active = {l for l in range(1, n_labels) if sizes[l] > 0}
-    skipped: set[int] = set()
-    while len(active) > 1:
-        small = [l for l in active - skipped if sizes[l] < min_size]
-        if not small:
-            break
-        src = min(small, key=lambda l: (sizes[l], l))
-        if not boundary[src]:
-            skipped.add(src)  # isolated fragment, nothing to absorb it
-            continue
-        dst = min(boundary[src], key=lambda l: (-boundary[src][l], l))
-        sizes[dst] += sizes[src]
-        parent[src] = dst
-        for l, c in boundary[src].items():
-            del boundary[l][src]
-            if l != dst:
-                boundary[l][dst] = boundary[l].get(dst, 0) + c
-                boundary[dst][l] = boundary[dst].get(l, 0) + c
-        boundary[dst].pop(dst, None)
-        del boundary[src]
-        active.remove(src)
-
-    root = np.arange(n_labels)
-    for l in range(n_labels):
-        r = l
-        while parent[r] != r:
-            r = parent[r]
-        root[l] = r
-    merged = root[labels]
-    return relabel_connected(LabelMap(merged.astype(np.int32)), connectivity=4)
+    return merge_small_regions(LabelMap(assign.astype(np.int32) + 1), min_size)

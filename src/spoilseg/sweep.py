@@ -4,6 +4,8 @@ A sweep walks the full Cartesian product of a declared parameter grid, runs
 the chosen segmenter per combination, normalises the result to connected
 components and scores it against ground truth.  Reports are byte-stable:
 identical configuration and inputs always produce identical CSV/JSON files.
+:data:`ALGORITHMS` is the one table of segmenters, their Params dataclasses
+and inputs; the CLI's ``segment`` commands dispatch through it too.
 """
 
 from __future__ import annotations
@@ -11,13 +13,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .colorspace import rgb_to_lab
-from .grids import GrayImage, LabelMap, RasterRGB
+from .grids import LabelMap
 from .hoover import HooverScores, evaluate_segmentation
 from .labels import drop_small_regions, relabel_connected
 from .meanshift import MeanShiftParams, mean_shift_segment
@@ -25,16 +29,37 @@ from .raster_io import read_gray_pgm16, read_pgm16, read_ppm
 from .slic import SlicParams, slic
 from .voronoi import VoronoiParams, voronoi_pipeline
 
-_ALGORITHM_PARAMS = {
-    "meanshift": (
-        "spatial_radius",
-        "range_radius",
-        "min_region_size",
-        "convergence_eps",
-        "max_iterations",
+
+class Algorithm(NamedTuple):
+    """A segmenter as the sweep and the CLI see it."""
+
+    params: type  # Params dataclass; its fields are the parameter names
+    input_key: str  # which config input feeds it: "image" or "hillshade"
+    load: Callable  # input path -> raster
+    segment: Callable  # (raster, params) -> LabelMap
+
+
+# The lambdas look their functions up when called, so a wrapper installed on
+# a module attribute (a tracer, a test double) sees every call.
+ALGORITHMS = {
+    "meanshift": Algorithm(
+        MeanShiftParams,
+        "image",
+        lambda path: read_ppm(path),
+        lambda img, p: mean_shift_segment(img, p),
     ),
-    "slic": ("superpixels", "compactness", "iterations", "min_region_size"),
-    "voronoi": ("sigma", "peak_radius", "restrict_to_foreground", "invert_foreground"),
+    "slic": Algorithm(
+        SlicParams,
+        "image",
+        lambda path: rgb_to_lab(read_ppm(path)),
+        lambda img, p: slic(img, p),
+    ),
+    "voronoi": Algorithm(
+        VoronoiParams,
+        "hillshade",
+        lambda path: read_gray_pgm16(path),
+        lambda img, p: voronoi_pipeline(img, p),
+    ),
 }
 
 _SCORE_COLUMNS = (
@@ -60,25 +85,39 @@ class SweepConfig:
     base_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.algorithm not in _ALGORITHM_PARAMS:
+        if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not self.grid or any(len(v) == 0 for v in self.grid.values()):
-            raise ValueError("parameter grid must be non-empty")
-        known = _ALGORITHM_PARAMS[self.algorithm]
+        algo = ALGORITHMS[self.algorithm]
+        if not isinstance(self.grid, dict) or not self.grid:
+            raise ValueError("parameter grid must be a non-empty object")
+        for name, values in self.grid.items():
+            if not isinstance(values, list) or not values:
+                raise ValueError(f"grid entry {name!r} must be a non-empty list, got {values!r}")
+        if not isinstance(self.base_params, dict):
+            raise ValueError("params must be an object")
+        known = {f.name for f in fields(algo.params)}
         for name in list(self.grid) + list(self.base_params):
             if name not in known:
                 raise ValueError(f"unknown parameter {name!r} for {self.algorithm}")
-        needs_image = self.algorithm in ("meanshift", "slic")
-        if needs_image and self.image is None:
-            raise ValueError(f"{self.algorithm} sweep needs an 'image' input")
-        if self.algorithm == "voronoi" and self.hillshade is None:
-            raise ValueError("voronoi sweep needs a 'hillshade' input")
+        t = self.threshold
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 < t <= 1:
+            raise ValueError(f"threshold must be a number in (0, 1], got {t!r}")
+        for key in ("ground_truth", algo.input_key):
+            value = getattr(self, key)
+            if value is None:
+                raise ValueError(f"{self.algorithm} sweep needs the {key!r} input")
+            if not isinstance(value, (str, os.PathLike)):
+                raise ValueError(f"input {key!r} must be a path, got {value!r}")
 
 
 def load_sweep_config(path: str | os.PathLike) -> SweepConfig:
     """Read a sweep configuration from its JSON file."""
     raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError("sweep config must be a JSON object")
     inputs = raw.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise ValueError("inputs must be an object")
     return SweepConfig(
         algorithm=raw["algorithm"],
         grid=raw["grid"],
@@ -110,14 +149,6 @@ class SweepReport:
         return None if self.optimum_index is None else self.rows[self.optimum_index]
 
 
-def _run_one(cfg: SweepConfig, params: dict, rgb, lab, gray) -> LabelMap:
-    if cfg.algorithm == "meanshift":
-        return mean_shift_segment(rgb, MeanShiftParams(**params))
-    if cfg.algorithm == "slic":
-        return slic(lab, SlicParams(**params))
-    return voronoi_pipeline(gray, VoronoiParams(**params))
-
-
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Execute every combination of the grid in declared order.
 
@@ -125,18 +156,11 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     optimum, which maximises correct detection with earlier rows winning
     ties.
     """
+    algo = ALGORITHMS[cfg.algorithm]
     gt = relabel_connected(read_pgm16(cfg.ground_truth))
     if gt.region_count() == 0:
         raise ValueError("ground truth has no regions")
-    rgb: RasterRGB | None = None
-    lab = None
-    gray: GrayImage | None = None
-    if cfg.algorithm in ("meanshift", "slic"):
-        rgb = read_ppm(cfg.image)
-        if cfg.algorithm == "slic":
-            lab = rgb_to_lab(rgb)
-    else:
-        gray = read_gray_pgm16(cfg.hillshade)
+    raster = algo.load(getattr(cfg, algo.input_key))
 
     names = list(cfg.grid)
     rows: list[SweepRow] = []
@@ -145,8 +169,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         params.update(dict(zip(names, values)))
         row = SweepRow(params=dict(zip(names, values)))
         try:
-            seg = _run_one(cfg, params, rgb, lab, gray)
-            seg = relabel_connected(seg)
+            seg = relabel_connected(algo.segment(raster, algo.params(**params)))
             row.scores = evaluate_segmentation(gt, seg, cfg.threshold)
         except Exception as exc:  # recorded, not fatal: one bad row must not kill the sweep
             row.error = f"{type(exc).__name__}: {exc}"

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .grids import GrayImage, LabelMap, ScalarGrid
@@ -53,15 +52,6 @@ class SeedSet:
         return int(self.xs.size)
 
 
-def _correlate1d(values: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    radius = kernel.size // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(values, pad, mode="edge")
-    windows = sliding_window_view(padded, kernel.size, axis=axis)
-    return windows @ kernel
-
-
 def gaussian_blur(img: GrayImage, sigma: float) -> ScalarGrid:
     """Separable Gaussian blur, kernel truncated at radius ceil(3*sigma).
 
@@ -74,8 +64,8 @@ def gaussian_blur(img: GrayImage, sigma: float) -> ScalarGrid:
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
     kernel /= kernel.sum()
-    out = _correlate1d(img.values.astype(np.float64), kernel, axis=1)
-    out = _correlate1d(out, kernel, axis=0)
+    out = ndimage.correlate1d(img.values.astype(np.float64), kernel, axis=1, mode="nearest")
+    out = ndimage.correlate1d(out, kernel, axis=0, mode="nearest")
     return ScalarGrid(out)
 
 

@@ -107,11 +107,16 @@ def srgb_to_lab_scalar(r: int, g: int, b: int) -> tuple[float, float, float]:
     return 116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)
 
 
-def absorb_small_components(labels: np.ndarray, min_size: int) -> np.ndarray:
-    """Reference absorb-smallest-first connectivity enforcement.
+def absorb_small_components(
+    labels: np.ndarray, min_size: int, colors: np.ndarray | None = None
+) -> np.ndarray:
+    """Reference absorb-smallest-first region merging.
 
-    Recomputes sizes and boundary lengths from scratch on every step, which
-    keeps it independent of the incremental implementation under test.
+    The target is the neighbour sharing the longest boundary, or with
+    per-pixel ``colors`` the neighbour whose mean colour is closest.
+    Recomputes sizes, boundaries and mean colours from scratch on every
+    step, which keeps it independent of the incremental implementation
+    under test.
     """
     current = flood_fill_components(labels, connectivity=4)
     while True:
@@ -135,7 +140,15 @@ def absorb_small_components(labels: np.ndarray, min_size: int) -> np.ndarray:
                             boundary[other] = boundary.get(other, 0) + 1
             if not boundary:
                 continue
-            dst = min(boundary, key=lambda l: (-boundary[l], l))
+            if colors is None:
+                dst = min(boundary, key=lambda l: (-boundary[l], l))
+            else:
+                src_mean = colors[current == src].mean(axis=0)
+
+                def gap(l: int) -> float:
+                    return float(np.sqrt(((colors[current == l].mean(axis=0) - src_mean) ** 2).sum()))
+
+                dst = min(boundary, key=lambda l: (gap(l), l))
             current[current == src] = dst
             merged = True
             break

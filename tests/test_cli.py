@@ -70,6 +70,12 @@ class TestSegmentCommands:
         seg = read_pgm16(out)
         assert seg.region_count() == 4
 
+    def test_voronoi_no_restrict_fills_frame(self, synth_files, tmp_path):
+        _, _, stretched = synth_files
+        out = tmp_path / "seg.pgm"
+        assert main(["segment", "voronoi", "--in", str(stretched), "--no-restrict", "--out", str(out)]) == 0
+        assert (read_pgm16(out).labels > 0).all()
+
     def test_meanshift_segmentation(self, tmp_path):
         px = np.zeros((8, 12, 3), dtype=np.uint8)
         px[:, 6:] = 180
@@ -120,6 +126,15 @@ class TestEvaluate:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err
 
+    def test_empty_ground_truth_fails_cleanly(self, synth_files, tmp_path, capsys):
+        _, gt, _ = synth_files
+        empty = tmp_path / "empty.pgm"
+        write_pgm16(LabelMap(np.zeros((160, 160), dtype=np.int32)), empty)
+        code = main(["evaluate", "--gt", str(empty), "--pred", str(gt)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "ground truth has no regions"}
+
 
 class TestSweepCli:
     def test_sweep_reports(self, synth_files, tmp_path):
@@ -142,6 +157,37 @@ class TestSweepCli:
         assert len(csv_path.read_text().strip().split("\n")) == 3
         payload = json.loads(json_path.read_text())
         assert len(payload["rows"]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"grid": {"sigma": 5}}, "must be a non-empty list"),
+            ({"grid": {"sigma": "abc"}}, "must be a non-empty list"),
+            ({"threshold": "x"}, "threshold"),
+            ({"threshold": 2}, "threshold"),
+            ({"inputs": {"hillshade": 5, "ground_truth": 5}}, "must be a path"),
+            (None, "JSON object"),
+        ],
+        ids=["grid-scalar", "grid-string", "threshold-string", "threshold-range", "path-number", "top-level-list"],
+    )
+    def test_malformed_config_rejected_at_load(self, synth_files, tmp_path, capsys, edit, message):
+        _, gt, stretched = synth_files
+        config = {
+            "algorithm": "voronoi",
+            "inputs": {"hillshade": str(stretched), "ground_truth": str(gt)},
+            "grid": {"sigma": [12.0]},
+        }
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps([config] if edit is None else {**config, **edit}))
+        out = tmp_path / "rows.json"
+        code = main(["sweep", "--config", str(cfg), "--json", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert message in payload["message"]
+        assert not out.exists()
 
     def test_missing_config_fails(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "nope.json")])

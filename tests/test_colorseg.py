@@ -171,3 +171,13 @@ class TestMeanShiftSegment:
         ids = seg.label_ids()
         assert ids.tolist() == list(range(1, len(ids) + 1))
         assert (seg.labels > 0).all()
+
+    def test_seeded_fusion_labels_frozen(self):
+        # 20 linked components on 2x2 colour blocks fuse by closest colour into
+        # 7 regions (the longest-boundary rule gives a different map); the
+        # expected labels were frozen from the original mean shift fusion loop
+        rng = np.random.default_rng(20)
+        px = rng.integers(0, 256, size=(4, 5, 3)).astype(np.uint8).repeat(2, axis=0).repeat(2, axis=1)
+        seg = mean_shift_segment(RasterRGB(px), MeanShiftParams(2, 40, 5))
+        blocks = np.array([[1, 1, 2, 2, 3], [4, 5, 5, 5, 3], [4, 6, 5, 7, 7], [6, 6, 5, 7, 7]])
+        assert np.array_equal(seg.labels, blocks.repeat(2, axis=0).repeat(2, axis=1))

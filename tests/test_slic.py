@@ -1,4 +1,4 @@
-"""SLIC superpixels and connectivity enforcement."""
+"""SLIC superpixels and small-region merging."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import absorb_small_components, flood_fill_components
-from spoilseg import LabelMap, LabImage, SlicParams, enforce_connectivity, slic
+from spoilseg import LabelMap, LabImage, SlicParams, merge_small_regions, slic
 from spoilseg.slic import _seed_centers, slic_assign
 
 
@@ -106,7 +106,7 @@ class TestEnforceConnectivity:
     def test_orphan_pixel_absorbed(self):
         lab = np.full((5, 5), 2, dtype=np.int32)
         lab[2, 2] = 1
-        out = enforce_connectivity(LabelMap(lab), min_size=2)
+        out = merge_small_regions(LabelMap(lab), min_size=2)
         assert out.region_count() == 1
         assert len(set(out.labels.ravel())) == 1
 
@@ -114,20 +114,27 @@ class TestEnforceConnectivity:
         lab = np.zeros((6, 6), dtype=np.int32)
         lab[:, :3] = 1
         lab[:, 3:] = 2
-        out = enforce_connectivity(LabelMap(lab), min_size=5)
+        out = merge_small_regions(LabelMap(lab), min_size=5)
         assert np.array_equal(out.labels, lab)
 
     def test_background_is_preserved(self):
         lab = np.zeros((4, 4), dtype=np.int32)
         lab[0, 0] = 1
-        out = enforce_connectivity(LabelMap(lab), min_size=3)
+        out = merge_small_regions(LabelMap(lab), min_size=3)
         assert np.array_equal(out.labels == 0, lab == 0)
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), min_size=st.integers(1, 6))
-    def test_matches_absorb_smallest_oracle(self, seed, min_size):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        min_size=st.integers(1, 6),
+        rule=st.sampled_from(["boundary", "colour"]),
+        background=st.booleans(),
+    )
+    def test_matches_absorb_smallest_oracle(self, seed, min_size, rule, background):
         rng = np.random.default_rng(seed)
-        lab = rng.integers(1, 5, size=(16, 16)).astype(np.int32)
-        ours = enforce_connectivity(LabelMap(lab), min_size=min_size)
-        oracle = absorb_small_components(lab, min_size=min_size)
+        lab = rng.integers(0 if background else 1, 5, size=(16, 16)).astype(np.int32)
+        # small integer colours: exact float sums and frequent colour-gap ties
+        colors = rng.integers(0, 4, size=(16, 16, 3)).astype(np.float64) if rule == "colour" else None
+        ours = merge_small_regions(LabelMap(lab), min_size=min_size, colors=colors)
+        oracle = absorb_small_components(lab, min_size=min_size, colors=colors)
         assert np.array_equal(ours.labels, oracle)
