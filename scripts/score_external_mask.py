@@ -36,6 +36,9 @@ def main() -> int:
     parser.add_argument("--out", type=Path, help="JSON report path (stdout when omitted)")
     args = parser.parse_args()
 
+    for item in args.param:
+        if "=" not in item:
+            parser.error(f"--param expects key=value, got {item!r}")
     params = dict(item.split("=", 1) for item in args.param)
     meta = ExternalMaskMetadata(source=args.source, parameters=params)
     mask, info = ingest_external_mask(args.mask, meta, args.min_region)

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: hillshade, segment {meanshift,slic,voronoi}, evaluate, sweep,
-ingest, synth.  Failures print a machine-readable JSON error to stderr and
-exit nonzero.
+ingest, synth.  Any failure prints a one-line machine-readable JSON error to
+stderr and exits 1; so does a sweep in which no row succeeded.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 from .hoover import hoover_classify, hoover_scores, overlap_table
 from .labels import relabel_connected
 from .raster_io import (
-    FormatError,
     read_asc_grid,
     read_pgm16,
     write_asc_grid,
@@ -29,6 +28,7 @@ from .sweep import (
     emit_report,
     ingest_external_mask,
     load_sweep_config,
+    report_json,
     run_sweep,
 )
 from .synth import synth_pilefield
@@ -94,9 +94,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.json:
         emit_report(report, "json", args.json)
     if not args.csv and not args.json:
-        from .sweep import report_json
-
         sys.stdout.write(report_json(report))
+    if report.optimum is None:
+        raise ValueError("no sweep row succeeded")
     return 0
 
 
@@ -212,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ValueError, OSError, KeyError) as exc:
+    except Exception as exc:  # the documented contract: one JSON line, never a traceback
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .grids import LabelMap, RasterRGB
-from .labels import merge_small_regions
+from .labels import _pixel_components, merge_small_regions
 
 
 @dataclass
@@ -132,34 +131,15 @@ def mean_shift_filter(img: RasterRGB, p: MeanShiftParams | None = None) -> np.nd
 
 
 def _link_components(modes: np.ndarray, p: MeanShiftParams) -> np.ndarray:
-    """Connected components over 4-adjacent pixels with nearby modes, 0-based."""
-    h, w, _ = modes.shape
-    n = h * w
-    idx = np.arange(n).reshape(h, w)
+    """Connected components over 4-adjacent pixels with nearby modes, 1..K."""
 
     def linked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d2_sp = ((a[..., :2] - b[..., :2]) ** 2).sum(axis=-1)
         d2_rg = ((a[..., 2:] - b[..., 2:]) ** 2).sum(axis=-1)
         return (d2_sp <= p.spatial_radius**2) & (d2_rg <= p.range_radius**2)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    if w > 1:
-        m = linked(modes[:, :-1], modes[:, 1:])
-        rows.append(idx[:, :-1][m])
-        cols.append(idx[:, 1:][m])
-    if h > 1:
-        m = linked(modes[:-1, :], modes[1:, :])
-        rows.append(idx[:-1, :][m])
-        cols.append(idx[1:, :][m])
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-    else:
-        r = c = np.empty(0, dtype=np.int64)
-    graph = sparse.coo_matrix((np.ones(r.size, dtype=np.int8), (r, c)), shape=(n, n))
-    _, comp = sparse.csgraph.connected_components(graph, directed=False)
-    return comp.reshape(h, w)
+    nodes = np.ones(modes.shape[:2], dtype=bool)
+    return _pixel_components(nodes, linked(modes[:, :-1], modes[:, 1:]), linked(modes[:-1], modes[1:]))
 
 
 def mean_shift_segment(img: RasterRGB, p: MeanShiftParams | None = None) -> LabelMap:
@@ -167,4 +147,4 @@ def mean_shift_segment(img: RasterRGB, p: MeanShiftParams | None = None) -> Labe
     p = p if p is not None else MeanShiftParams()
     modes = mean_shift_filter(img, p)
     comp = _link_components(modes, p)
-    return merge_small_regions(LabelMap(comp + 1), p.min_region_size, colors=modes[..., 2:])
+    return merge_small_regions(LabelMap(comp), p.min_region_size, colors=modes[..., 2:])

@@ -170,10 +170,14 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
 
     if len(row_lines) != nrows:
         raise FormatError(f"expected {nrows} data rows, got {len(row_lines)}")
-    values = np.empty((nrows, ncols), dtype=np.float64)
+    # the rows must carry the declared shape before it is allocated
     for r, parts in enumerate(row_lines):
         if len(parts) != ncols:
             raise FormatError(f"row {r} has {len(parts)} tokens, expected {ncols}")
+    if nrows < 1 or ncols < 1:
+        raise FormatError(f"grid must be at least 1x1, header declares {ncols}x{nrows}")
+    values = np.empty((nrows, ncols), dtype=np.float64)
+    for r, parts in enumerate(row_lines):
         try:
             values[r] = [float(tok) for tok in parts]
         except ValueError:

@@ -90,17 +90,17 @@ def detect_local_maxima(grid: ScalarGrid, peak_radius: int) -> SeedSet:
 
     # adjacent candidates are always equal-valued, so plateaus are plain
     # 8-connected components of the candidate mask
-    comp, n_plateaus = ndimage.label(candidates, structure=np.ones((3, 3), dtype=bool))
-    plateau_seeds = []
-    for sl, plateau_id in zip(ndimage.find_objects(comp), range(1, n_plateaus + 1)):
-        member_yx = np.argwhere(comp[sl] == plateau_id)
-        member_yx += [sl[0].start, sl[1].start]
-        centroid = member_yx.mean(axis=0)
-        nearest = int(np.argmin(((member_yx - centroid) ** 2).sum(axis=1)))
-        y, x = (int(c) for c in member_yx[nearest])
-        plateau_seeds.append((-v[y, x], y, x))
+    comp = ndimage.label(candidates, structure=np.ones((3, 3), dtype=bool))[0]
+    py, px = np.nonzero(comp)
+    ids = comp[py, px]
+    sizes = np.bincount(ids)[ids]
+    cy = np.bincount(ids, weights=py)[ids] / sizes
+    cx = np.bincount(ids, weights=px)[ids] / sizes
+    # per plateau, the member nearest its centroid; ties go to the first in scan order
+    order = np.lexsort(((py - cy) ** 2 + (px - cx) ** 2, ids))
+    first = order[np.flatnonzero(np.diff(ids[order], prepend=0))]
+    plateau_seeds = sorted((-v[y, x], int(y), int(x)) for y, x in zip(py[first], px[first]))
 
-    plateau_seeds.sort()
     h, w = v.shape
     blocked = np.zeros((h, w), dtype=bool)
     xs, ys, intensities = [], [], []

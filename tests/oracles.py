@@ -12,13 +12,10 @@ from collections import deque
 import numpy as np
 
 
-def flood_fill_components(labels: np.ndarray, connectivity: int = 4) -> np.ndarray:
-    """BFS connected components per label value, numbered in scan order."""
+def flood_fill_components(labels: np.ndarray) -> np.ndarray:
+    """BFS 4-connected components per label value, numbered in scan order."""
     h, w = labels.shape
-    if connectivity == 4:
-        steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    else:
-        steps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
+    steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
     out = np.zeros((h, w), dtype=np.int32)
     next_label = 0
     for y in range(h):
@@ -57,6 +54,62 @@ def nearest_seed_labels(
                     best_i = i + 1
             out[y, x] = best_i
     return out
+
+
+def plateau_peak_seeds(
+    values: np.ndarray, peak_radius: int, missing: np.ndarray | None = None
+) -> list[tuple[int, int, int]]:
+    """Naive regional-maximum seeding as (x, y, intensity), in acceptance order.
+
+    A pixel is a candidate when no pixel within Chebyshev distance
+    peak_radius is larger (missing pixels never count).  Each 8-connected
+    plateau of candidates gives its member nearest the plateau centroid
+    (first in scan order on ties); seeds are then accepted by decreasing
+    value (ties: scan order) unless within peak_radius of an accepted seed.
+    """
+    h, w = values.shape
+    missing = np.zeros((h, w), dtype=bool) if missing is None else missing
+    r = peak_radius
+    cand = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            if missing[y, x]:
+                continue
+            window = [
+                values[j, i]
+                for j in range(max(0, y - r), min(h, y + r + 1))
+                for i in range(max(0, x - r), min(w, x + r + 1))
+                if not missing[j, i]
+            ]
+            cand[y, x] = values[y, x] >= max(window)
+    seen = np.zeros((h, w), dtype=bool)
+    plateau_seeds = []
+    for y in range(h):
+        for x in range(w):
+            if not cand[y, x] or seen[y, x]:
+                continue
+            members = []
+            queue = deque([(y, x)])
+            seen[y, x] = True
+            while queue:
+                cy, cx = queue.popleft()
+                members.append((cy, cx))
+                for dy in (-1, 0, 1):
+                    for dx in (-1, 0, 1):
+                        ny, nx = cy + dy, cx + dx
+                        if 0 <= ny < h and 0 <= nx < w and cand[ny, nx] and not seen[ny, nx]:
+                            seen[ny, nx] = True
+                            queue.append((ny, nx))
+            members.sort()
+            my = sum(m[0] for m in members) / len(members)
+            mx = sum(m[1] for m in members) / len(members)
+            by, bx = min(members, key=lambda m: ((m[0] - my) ** 2 + (m[1] - mx) ** 2, m))
+            plateau_seeds.append((-float(values[by, bx]), by, bx))
+    accepted: list[tuple[int, int, int]] = []
+    for neg_val, y, x in sorted(plateau_seeds):
+        if all(max(abs(x - ax), abs(y - ay)) > r for ax, ay, _ in accepted):
+            accepted.append((x, y, min(255, max(0, math.floor(-neg_val + 0.5)))))
+    return accepted
 
 
 def exhaustive_otsu(values: np.ndarray) -> int:
@@ -118,7 +171,7 @@ def absorb_small_components(
     step, which keeps it independent of the incremental implementation
     under test.
     """
-    current = flood_fill_components(labels, connectivity=4)
+    current = flood_fill_components(labels)
     while True:
         ids = [int(v) for v in np.unique(current) if v != 0]
         if len(ids) <= 1:
@@ -154,4 +207,4 @@ def absorb_small_components(
             break
         if not merged:
             break
-    return flood_fill_components(current, connectivity=4)
+    return flood_fill_components(current)

@@ -219,7 +219,7 @@ def test_criterion_6_slic_structure():
 
         for label in seg.label_ids():
             mask = (seg.labels == label).astype(np.int32)
-            assert flood_fill_components(mask, 4).max() == 1, f"region {label} disconnected"
+            assert flood_fill_components(mask).max() == 1, f"region {label} disconnected"
 
         rng = np.random.default_rng(20240006)
         base = rng.uniform(20, 80, size=(4, 4))

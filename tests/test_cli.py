@@ -1,6 +1,9 @@
 """End-to-end command-line interface checks."""
 
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +63,15 @@ class TestSynthAndHillshade:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+
+    def test_hillshade_huge_header_fails_cleanly(self, tmp_path, capsys):
+        dsm = tmp_path / "huge.asc"
+        dsm.write_text("ncols 1000000000000\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n")
+        code = main(["hillshade", "--dsm", str(dsm), "--out", str(tmp_path / "shade.pgm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "FormatError"
 
 
 class TestSegmentCommands:
@@ -189,6 +201,35 @@ class TestSweepCli:
         assert message in payload["message"]
         assert not out.exists()
 
+    def test_deeply_nested_config_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text("[" * 100_000)
+        code = main(["sweep", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "RecursionError"
+
+    def test_no_successful_row_exits_1(self, synth_files, tmp_path, capsys):
+        _, gt, stretched = synth_files
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "algorithm": "voronoi",
+                    "inputs": {"hillshade": str(stretched), "ground_truth": str(gt)},
+                    "grid": {"sigma": [-1, -2]},
+                }
+            )
+        )
+        out = tmp_path / "rows.json"
+        code = main(["sweep", "--config", str(cfg), "--json", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["message"] == "no sweep row succeeded"
+        payload = json.loads(out.read_text())
+        assert payload["optimum"] is None
+        assert all(row["error"] for row in payload["rows"])
+
     def test_missing_config_fails(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "nope.json")])
         assert code == 1
@@ -222,3 +263,17 @@ class TestIngestCli:
         code = main(["ingest", "--in", str(src), "--out", str(tmp_path / "o.pgm"), "--param", "oops"])
         assert code == 1
         assert "key=value" in json.loads(capsys.readouterr().err)["message"]
+
+
+class TestScoreExternalMaskScript:
+    def test_bad_param_syntax(self, tmp_path, monkeypatch, capsys):
+        script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "score_external_mask.py"))
+        mask = tmp_path / "mask.pgm"
+        write_pgm16(LabelMap(np.ones((4, 4), dtype=np.int32)), mask)
+        monkeypatch.setattr(
+            sys, "argv", ["score_external_mask.py", "--mask", str(mask), "--gt", str(mask), "--param", "oops"]
+        )
+        with pytest.raises(SystemExit) as exc:
+            script["main"]()
+        assert exc.value.code == 2
+        assert "--param expects key=value, got 'oops'" in capsys.readouterr().err

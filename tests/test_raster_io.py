@@ -180,6 +180,17 @@ class TestAscGrid:
         with pytest.raises(FormatError, match="tokens"):
             read_asc_grid(path)
 
+    @pytest.mark.parametrize(
+        "dims, rows, message",
+        [("ncols 1000000000000\nnrows 1", "1 2 3\n", "tokens"), ("ncols -1\nnrows 0", "", "1x1")],
+        ids=["huge-width", "negative-width"],
+    )
+    def test_declared_shape_checked_before_allocation(self, tmp_path, dims, rows, message):
+        path = tmp_path / "huge.asc"
+        path.write_text(f"{dims}\nxllcorner 0\nyllcorner 0\ncellsize 1\n{rows}")
+        with pytest.raises(FormatError, match=message):
+            read_asc_grid(path)
+
     def test_missing_header_key(self, tmp_path):
         path = tmp_path / "nokey.asc"
         path.write_text("ncols 1\nnrows 1\ncellsize 1\n1.0\n")
@@ -233,27 +244,16 @@ class TestRelabelConnected:
     def test_checkerboard_4conn(self):
         yy, xx = np.mgrid[0:6, 0:6]
         lab = ((yy + xx) % 2).astype(np.int32)
-        out = relabel_connected(LabelMap(lab), connectivity=4)
+        out = relabel_connected(LabelMap(lab))
         assert out.region_count() == 18  # one label per isolated cell
 
-    def test_checkerboard_8conn_is_one_region(self):
-        yy, xx = np.mgrid[0:6, 0:6]
-        lab = ((yy + xx) % 2).astype(np.int32)
-        out = relabel_connected(LabelMap(lab), connectivity=8)
-        assert out.region_count() == 1
-
-    def test_invalid_connectivity(self):
-        with pytest.raises(ValueError):
-            relabel_connected(LabelMap(np.ones((2, 2), dtype=np.int32)), connectivity=6)
-
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 8]))
-    def test_matches_flood_fill_oracle(self, seed, connectivity):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 20))
+    def test_matches_flood_fill_oracle(self, seed, h, w):
         rng = np.random.default_rng(seed)
-        lab = rng.integers(0, 4, size=(16, 16)).astype(np.int32)
-        ours = relabel_connected(LabelMap(lab), connectivity=connectivity)
-        oracle = flood_fill_components(lab, connectivity=connectivity)
-        assert np.array_equal(ours.labels, oracle)
+        lab = rng.integers(0, 4, size=(h, w)).astype(np.int32)
+        ours = relabel_connected(LabelMap(lab))
+        assert np.array_equal(ours.labels, flood_fill_components(lab))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -19,7 +19,7 @@ def gray_lab(values: np.ndarray) -> LabImage:
 
 def region_is_connected(labels: np.ndarray, label: int) -> bool:
     mask = (labels == label).astype(np.int32)
-    return flood_fill_components(mask, connectivity=4).max() == 1
+    return flood_fill_components(mask).max() == 1
 
 
 class TestSlic:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_otsu, nearest_seed_labels, sampled_gaussian_kernel
+from oracles import exhaustive_otsu, nearest_seed_labels, plateau_peak_seeds, sampled_gaussian_kernel
 from spoilseg import (
     GrayImage,
     ScalarGrid,
@@ -112,6 +112,26 @@ class TestDetectLocalMaxima:
             for j in range(i + 1, len(pts)):
                 cheb = max(abs(pts[i][0] - pts[j][0]), abs(pts[i][1] - pts[j][1]))
                 assert cheb > 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 16),
+        st.integers(1, 16),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_matches_naive_plateau_oracle(self, seed, h, w, peak_radius, with_nodata):
+        rng = np.random.default_rng(seed)
+        vals = rng.integers(0, rng.integers(1, 5), size=(h, w)).astype(np.float64)
+        nodata = None
+        if with_nodata:
+            nodata = -9999.0
+            vals[rng.random((h, w)) < 0.3] = nodata
+        grid = ScalarGrid(vals, nodata=nodata)
+        seeds = detect_local_maxima(grid, peak_radius)
+        ours = list(zip(seeds.xs.tolist(), seeds.ys.tolist(), seeds.intensities.tolist()))
+        assert ours == plateau_peak_seeds(vals, peak_radius, grid.nodata_mask)
 
 
 class TestOtsu:
