@@ -7,9 +7,16 @@ the arrays are treated as immutable.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _require_int(name: str, value: object) -> None:
+    """Reject a Params integer field that holds a float, a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LabelMap, LabImage
+from .grids import LabelMap, LabImage, _require_int
 from .labels import merge_small_regions
 
 
@@ -27,14 +27,18 @@ class SlicParams:
     min_region_size: int | None = None  # None: quarter of the nominal area
 
     def __post_init__(self) -> None:
+        _require_int("superpixels", self.superpixels)
+        _require_int("iterations", self.iterations)
         if not self.superpixels >= 1:
             raise ValueError("superpixels must be >= 1")
         if not self.compactness > 0:
             raise ValueError("compactness must be positive")
         if not self.iterations >= 1:
             raise ValueError("iterations must be >= 1")
-        if self.min_region_size is not None and self.min_region_size < 1:
-            raise ValueError("min_region_size must be >= 1")
+        if self.min_region_size is not None:
+            _require_int("min_region_size", self.min_region_size)
+            if self.min_region_size < 1:
+                raise ValueError("min_region_size must be >= 1")
 
 
 def _seed_centers(lab: np.ndarray, k: int, step: int) -> np.ndarray:

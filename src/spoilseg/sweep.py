@@ -115,13 +115,16 @@ def load_sweep_config(path: str | os.PathLike) -> SweepConfig:
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError("sweep config must be a JSON object")
+    for key in ("algorithm", "grid"):
+        if key not in raw:
+            raise ValueError(f"sweep config is missing {key!r}")
     inputs = raw.get("inputs", {})
     if not isinstance(inputs, dict):
         raise ValueError("inputs must be an object")
     return SweepConfig(
         algorithm=raw["algorithm"],
         grid=raw["grid"],
-        ground_truth=inputs["ground_truth"],
+        ground_truth=inputs.get("ground_truth"),
         image=inputs.get("image"),
         hillshade=inputs.get("hillshade"),
         threshold=raw.get("threshold", 0.5),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grids import GrayImage, LabelMap, ScalarGrid
+from .grids import GrayImage, LabelMap, ScalarGrid, _require_int
 
 
 @dataclass
@@ -26,8 +26,10 @@ class VoronoiParams:
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if self.peak_radius is not None and self.peak_radius < 1:
-            raise ValueError("peak_radius must be >= 1")
+        if self.peak_radius is not None:
+            _require_int("peak_radius", self.peak_radius)
+            if self.peak_radius < 1:
+                raise ValueError("peak_radius must be >= 1")
 
 
 @dataclass

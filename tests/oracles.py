@@ -208,3 +208,70 @@ def absorb_small_components(
         if not merged:
             break
     return flood_fill_components(current)
+
+
+def _mean_shift_points(img) -> np.ndarray:
+    h, w = img.pixels.shape[:2]
+    ys, xs = np.mgrid[0:h, 0:w]
+    rgb = img.pixels.reshape(-1, 3).astype(np.float64)
+    return np.column_stack([xs.ravel().astype(np.float64), ys.ravel().astype(np.float64), rgb])
+
+
+def _mean_shift_bins(points: np.ndarray, cell: float) -> dict[tuple[int, int], list[int]]:
+    """Point indices bucketed by floor(position / cell)."""
+    bins: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(points[:, :2]):
+        bins.setdefault((math.floor(y / cell), math.floor(x / cell)), []).append(i)
+    return bins
+
+
+def _mean_shift_step(points, bins, current, p) -> tuple[np.ndarray, float]:
+    """One step of the per-pixel loop: (next point, normalised displacement)."""
+    cell = p.spatial_radius
+    bx, by = math.floor(current[0] / cell), math.floor(current[1] / cell)
+    cand = [i for j in (by - 1, by, by + 1) for k in (bx - 1, bx, bx + 1) for i in bins.get((j, k), [])]
+    if not cand:
+        return current, 0.0
+    sub = points[cand]
+    d2_sp = ((sub[:, :2] - current[:2]) ** 2).sum(axis=1)
+    d2_rg = ((sub[:, 2:] - current[2:]) ** 2).sum(axis=1)
+    inside = (d2_sp <= p.spatial_radius**2) & (d2_rg <= p.range_radius**2)
+    if not inside.any():
+        return current, 0.0
+    nxt = sub[inside].mean(axis=0)
+    delta = nxt - current
+    disp = float(
+        np.sqrt(
+            (delta[:2] ** 2).sum() / p.spatial_radius**2
+            + (delta[2:] ** 2).sum() / p.range_radius**2
+        )
+    )
+    return nxt, disp
+
+
+def _mean_shift_path(points, bins, start: int, p) -> list[np.ndarray]:
+    current = points[start].copy()
+    path = [current.copy()]
+    for _ in range(p.max_iterations):
+        current, disp = _mean_shift_step(points, bins, current, p)
+        path.append(current.copy())
+        if disp < p.convergence_eps:
+            break
+    return path
+
+
+def mean_shift_trajectory(img, p, x: int, y: int) -> list[np.ndarray]:
+    """Per-pixel mean shift loop for one pixel: its start point plus every
+    visited point.  Each step moves to the mean of the original
+    (x, y, r, g, b) points within spatial_radius and range_radius, found
+    through spatial bins of side spatial_radius."""
+    points = _mean_shift_points(img)
+    return _mean_shift_path(points, _mean_shift_bins(points, p.spatial_radius), y * img.pixels.shape[1] + x, p)
+
+
+def mean_shift_modes(img, p) -> np.ndarray:
+    """Final point of every pixel's trajectory, shaped (height, width, 5)."""
+    points = _mean_shift_points(img)
+    bins = _mean_shift_bins(points, p.spatial_radius)
+    modes = [_mean_shift_path(points, bins, i, p)[-1] for i in range(len(points))]
+    return np.array(modes).reshape(img.pixels.shape[0], img.pixels.shape[1], 5)

@@ -1,13 +1,16 @@
 """End-to-end command-line interface checks."""
 
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spoilseg
 from spoilseg import (
     LabelMap,
     RasterRGB,
@@ -179,8 +182,21 @@ class TestSweepCli:
             ({"threshold": 2}, "threshold"),
             ({"inputs": {"hillshade": 5, "ground_truth": 5}}, "must be a path"),
             (None, "JSON object"),
+            ({"algorithm": None}, "missing 'algorithm'"),
+            ({"grid": None}, "missing 'grid'"),
+            ({"inputs": {"hillshade": "x.pgm"}}, "'ground_truth' input"),
         ],
-        ids=["grid-scalar", "grid-string", "threshold-string", "threshold-range", "path-number", "top-level-list"],
+        ids=[
+            "grid-scalar",
+            "grid-string",
+            "threshold-string",
+            "threshold-range",
+            "path-number",
+            "top-level-list",
+            "no-algorithm",
+            "no-grid",
+            "no-ground-truth",
+        ],
     )
     def test_malformed_config_rejected_at_load(self, synth_files, tmp_path, capsys, edit, message):
         _, gt, stretched = synth_files
@@ -190,7 +206,10 @@ class TestSweepCli:
             "grid": {"sigma": [12.0]},
         }
         cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps([config] if edit is None else {**config, **edit}))
+        if edit is None:
+            cfg.write_text(json.dumps([config]))
+        else:  # a None value stands for a missing key
+            cfg.write_text(json.dumps({k: v for k, v in {**config, **edit}.items() if v is not None}))
         out = tmp_path / "rows.json"
         code = main(["sweep", "--config", str(cfg), "--json", str(out)])
         assert code == 1
@@ -234,6 +253,33 @@ class TestSweepCli:
         code = main(["sweep", "--config", str(tmp_path / "nope.json")])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] in ("FileNotFoundError", "OSError")
+
+
+class TestModuleEntryPoint:
+    """``python -m spoilseg`` and ``python -m spoilseg.cli`` run the CLI."""
+
+    @staticmethod
+    def run(module, args, cwd):
+        env = dict(os.environ)
+        src = str(Path(spoilseg.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", module, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        )
+
+    @pytest.mark.parametrize("module", ["spoilseg", "spoilseg.cli"])
+    def test_synth_writes_files(self, tmp_path, module):
+        args = ["synth", "--rows", "60", "--cols", "60", "--bumps", "1", "--dsm", "d.asc", "--gt", "g.pgm"]
+        done = self.run(module, args, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert read_pgm16(tmp_path / "g.pgm").region_count() == 1
+        assert read_asc_grid(tmp_path / "d.asc").values.shape == (60, 60)
+
+    def test_bad_config_exits_1_with_json_error(self, tmp_path):
+        (tmp_path / "sweep.json").write_text("{}")
+        done = self.run("spoilseg", ["sweep", "--config", "sweep.json"], tmp_path)
+        assert done.returncode == 1
+        assert json.loads(done.stderr) == {"error": "ValueError", "message": "sweep config is missing 'algorithm'"}
 
 
 class TestIngestCli:

@@ -1,11 +1,15 @@
 """CIELAB conversion and mean shift segmentation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import srgb_to_lab_scalar
+from oracles import mean_shift_modes, mean_shift_trajectory, srgb_to_lab_scalar
 from spoilseg import MeanShiftParams, RasterRGB, mean_shift_filter, mean_shift_segment, rgb_to_lab
-from spoilseg.meanshift import mean_shift_trajectory
+from spoilseg import meanshift
 
 
 def solid(h, w, color):
@@ -133,6 +137,43 @@ class TestMeanShiftFilter:
         for ch in range(3):
             assert modes[..., 2 + ch].min() >= px[..., ch].min() - 1e-9
             assert modes[..., 2 + ch].max() <= px[..., ch].max() + 1e-9
+
+
+@st.composite
+def ms_images(draw):
+    h = draw(st.integers(1, 16))
+    w = draw(st.integers(1, 16))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["random", "few-valued", "smooth"]))
+    if kind == "random":
+        px = rng.integers(0, 256, size=(h, w, 3))
+    elif kind == "few-valued":
+        palette = rng.integers(0, 256, size=(draw(st.integers(1, 4)), 3))
+        px = palette[rng.integers(0, len(palette), size=(h, w))]
+    else:
+        ys, xs = np.mgrid[0:h, 0:w]
+        slope = rng.integers(-12, 13, size=(2, 3))
+        px = 128 + ys[..., None] * slope[0] + xs[..., None] * slope[1] + rng.integers(-2, 3, size=(h, w, 3))
+    return RasterRGB(np.clip(px, 0, 255).astype(np.uint8))
+
+
+class TestMeanShiftFilterOracle:
+    """The batched filter against the per-pixel loop in ``oracles``."""
+
+    @given(
+        img=ms_images(),
+        hs=st.sampled_from([1, 1.5, 2.5, 3.7, 5, 40, float("inf")]),
+        hr=st.sampled_from([3, 8, 12.5, 30, 100, 500, float("inf")]),
+        iterations=st.sampled_from([1, 2, 50]),
+        batch_cells=st.sampled_from([1, 500, meanshift._BATCH_CELLS]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_per_pixel_loop(self, img, hs, hr, iterations, batch_cells):
+        p = MeanShiftParams(hs, hr, 1, max_iterations=iterations)
+        with mock.patch.object(meanshift, "_BATCH_CELLS", batch_cells):
+            modes = mean_shift_filter(img, p)
+        assert np.array_equal(modes, mean_shift_modes(img, p))
 
 
 class TestMeanShiftSegment:

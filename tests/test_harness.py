@@ -143,6 +143,34 @@ class TestRunSweep:
         assert len(report.rows) == 2
         assert all(row.scores is not None for row in report.rows)
 
+    @pytest.mark.parametrize(
+        "algorithm, name, values, base",
+        [
+            ("slic", "superpixels", [20.5, True, 4], {}),
+            ("slic", "iterations", [1.5, 2], {"superpixels": 4}),
+            ("meanshift", "min_region_size", [10.5, True, 8], {}),
+            ("meanshift", "max_iterations", [2.5, 5], {}),
+            ("voronoi", "peak_radius", [2.5, 12], {}),
+        ],
+    )
+    def test_integer_fields_reject_floats_and_bools(self, tmp_path, pilefield, algorithm, name, values, base):
+        px = np.zeros((16, 16, 3), dtype=np.uint8)
+        px[:, 8:] = 200
+        write_ppm(RasterRGB(px), tmp_path / "img.ppm")
+        gt = np.ones((16, 16), dtype=np.int32)
+        gt[:, 8:] = 2
+        write_pgm16(LabelMap(gt), tmp_path / "gt.pgm")
+        hillshade, voronoi_gt = pilefield
+        inputs = {"image": str(tmp_path / "img.ppm"), "ground_truth": str(tmp_path / "gt.pgm")}
+        if algorithm == "voronoi":
+            inputs = {"hillshade": str(hillshade), "ground_truth": str(voronoi_gt)}
+        report = run_sweep(SweepConfig(algorithm=algorithm, grid={name: values}, base_params=base, **inputs))
+        *bad, good = report.rows
+        for row in bad:
+            assert row.scores is None
+            assert row.error == f"ValueError: {name} must be an integer, got {row.params[name]!r}"
+        assert good.error is None and good.scores is not None
+
     def test_missing_input_for_algorithm(self, tmp_path, pilefield):
         _, gt = pilefield
         with pytest.raises(ValueError, match="image"):
