@@ -35,10 +35,16 @@ from .synth import synth_pilefield
 from .terrain import HillshadeParams, StretchParams, hillshade, quantize8, sigmoidal_stretch
 
 
+def _params(cls: type, args: argparse.Namespace):
+    """Params from the options stored under its field names; SUPPRESS leaves the rest to the defaults."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+
+
 def _cmd_hillshade(args: argparse.Namespace) -> int:
     dsm = read_asc_grid(args.dsm)
-    shade = hillshade(dsm, HillshadeParams(args.azimuth, args.altitude, args.z_factor))
-    stretched = sigmoidal_stretch(shade, StretchParams(args.strength, args.scale))
+    shade = hillshade(dsm, _params(HillshadeParams, args))
+    stretched = sigmoidal_stretch(shade, _params(StretchParams, args))
     out = Path(args.out)
     if out.suffix.lower() == ".asc":
         write_asc_grid(stretched, out)
@@ -52,10 +58,7 @@ def _cmd_hillshade(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     algo = ALGORITHMS[args.method]
     raster = algo.load(args.input)
-    # each subparser stores its options under the Params field names
-    given = vars(args)
-    params = algo.params(**{f.name: given[f.name] for f in fields(algo.params) if f.name in given})
-    write_pgm16(relabel_connected(algo.segment(raster, params)), args.out)
+    write_pgm16(relabel_connected(algo.segment(raster, _params(algo.params, args))), args.out)
     return 0
 
 
@@ -120,7 +123,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     write_asc_grid(dsm, args.dsm)
     write_pgm16(gt, args.gt)
     if args.out_stretched:
-        stretched = sigmoidal_stretch(dsm, StretchParams(args.strength, args.scale))
+        stretched = sigmoidal_stretch(dsm, _params(StretchParams, args))
         write_gray_pgm16(quantize8(stretched), args.out_stretched)
     return 0
 
@@ -129,39 +132,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spoilseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hillshade", help="stretched hillshade from an ASCII-grid DSM")
+    p = sub.add_parser(
+        "hillshade", help="stretched hillshade from an ASCII-grid DSM", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--dsm", required=True)
-    p.add_argument("--azimuth", type=float, default=315.0)
-    p.add_argument("--altitude", type=float, default=45.0)
-    p.add_argument("--z-factor", dest="z_factor", type=float, default=1.0)
-    p.add_argument("--strength", type=float, default=3.0)
-    p.add_argument("--scale", type=float, default=2.0)
+    p.add_argument("--azimuth", type=float)
+    p.add_argument("--altitude", type=float)
+    p.add_argument("--z-factor", dest="z_factor", type=float)
+    p.add_argument("--strength", type=float)
+    p.add_argument("--scale", type=float)
     p.add_argument("--out", required=True, help="output path (.asc or .pgm)")
     p.set_defaults(func=_cmd_hillshade)
 
     p = sub.add_parser("segment", help="run one segmentation algorithm")
     seg_sub = p.add_subparsers(dest="method", required=True)
 
-    ms = seg_sub.add_parser("meanshift")
+    ms = seg_sub.add_parser("meanshift", argument_default=argparse.SUPPRESS)
     ms.add_argument("--in", dest="input", required=True)
-    ms.add_argument("--hs", dest="spatial_radius", type=float, default=5.0, help="spatial radius in pixels")
-    ms.add_argument("--hr", dest="range_radius", type=float, default=20.0, help="range radius in digital numbers")
-    ms.add_argument("--min-region", dest="min_region_size", type=int, default=10000)
+    ms.add_argument("--hs", dest="spatial_radius", type=float, help="spatial radius in pixels")
+    ms.add_argument("--hr", dest="range_radius", type=float, help="range radius in digital numbers")
+    ms.add_argument("--min-region", dest="min_region_size", type=int)
     ms.add_argument("--out", required=True)
     ms.set_defaults(func=_cmd_segment)
 
-    sl = seg_sub.add_parser("slic")
+    sl = seg_sub.add_parser("slic", argument_default=argparse.SUPPRESS)
     sl.add_argument("--in", dest="input", required=True)
-    sl.add_argument("--k", dest="superpixels", type=int, default=550, help="superpixel count")
-    sl.add_argument("--m", dest="compactness", type=float, default=30.0, help="compactness weight")
-    sl.add_argument("--iterations", type=int, default=10)
+    sl.add_argument("--k", dest="superpixels", type=int, help="superpixel count")
+    sl.add_argument("--m", dest="compactness", type=float, help="compactness weight")
+    sl.add_argument("--iterations", type=int)
     sl.add_argument("--out", required=True)
     sl.set_defaults(func=_cmd_segment)
 
-    vo = seg_sub.add_parser("voronoi")
+    vo = seg_sub.add_parser("voronoi", argument_default=argparse.SUPPRESS)
     vo.add_argument("--in", dest="input", required=True, help="8-bit gray PGM16")
-    vo.add_argument("--sigma", type=float, default=12.0)
-    vo.add_argument("--peak-radius", dest="peak_radius", type=int, default=None)
+    vo.add_argument("--sigma", type=float)
+    vo.add_argument("--peak-radius", dest="peak_radius", type=int)
     vo.add_argument(
         "--no-restrict", dest="restrict_to_foreground", action="store_false", help="tessellate the full frame"
     )
@@ -201,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dsm", required=True, help="output DSM path (.asc)")
     p.add_argument("--gt", required=True, help="output ground-truth path (.pgm)")
     p.add_argument("--out-stretched", dest="out_stretched", help="optional stretched 8-bit PGM")
-    p.add_argument("--strength", type=float, default=3.0)
-    p.add_argument("--scale", type=float, default=2.0)
+    p.add_argument("--strength", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--scale", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_synth)
 
     return parser

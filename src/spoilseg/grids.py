@@ -8,15 +8,41 @@ the arrays are treated as immutable.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+import operator
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+# field type -> (what the error calls it, the abstract type a value must be)
+_KINDS = {int: ("an integer", numbers.Integral), float: ("a number", numbers.Real), bool: ("a boolean", bool)}
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="), "lt": (operator.lt, "<")}
 
-def _require_int(name: str, value: object) -> None:
-    """Reject a Params integer field that holds a float, a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+def _param(default: object, **bounds: float) -> typing.Any:
+    """A Params field: its default and its bounds (``ge``, ``gt``, ``le``, ``lt``)."""
+    return field(default=default, metadata=bounds)
+
+
+def _check_params(self: object) -> None:
+    """``__post_init__`` of every Params dataclass: each field's type, then its bounds.
+
+    ``int`` and ``float`` refuse a bool, ``bool`` takes only a bool, ``X | None``
+    also takes None.  NaN fails every bound; ``inf`` passes where there is no upper one.
+    """
+    hints = typing.get_type_hints(type(self))
+    for f in fields(self):
+        value = getattr(self, f.name)
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        if value is None and type(None) in kinds:
+            continue
+        noun, abstract = _KINDS[kinds[0]]
+        if not isinstance(value, abstract) or isinstance(value, bool) != (kinds[0] is bool):
+            raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        for key, limit in f.metadata.items():
+            holds, symbol = _BOUNDS[key]
+            if not holds(value, limit):
+                raise ValueError(f"{f.name} must be {symbol} {limit}, got {value!r}")
 
 
 @dataclass

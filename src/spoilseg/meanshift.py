@@ -15,31 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LabelMap, RasterRGB, _require_int
+from .grids import LabelMap, RasterRGB, _check_params, _param
 from .labels import _pixel_components, merge_small_regions
 
 
 @dataclass
 class MeanShiftParams:
-    spatial_radius: float = 5.0
-    range_radius: float = 20.0
-    min_region_size: int = 10000
-    convergence_eps: float = 0.01
-    max_iterations: int = 50
+    spatial_radius: float = _param(5.0, ge=1)
+    range_radius: float = _param(20.0, gt=0)
+    min_region_size: int = _param(10000, ge=1)
+    convergence_eps: float = _param(0.01, gt=0)
+    max_iterations: int = _param(50, ge=1)
 
-    def __post_init__(self) -> None:
-        _require_int("min_region_size", self.min_region_size)
-        _require_int("max_iterations", self.max_iterations)
-        if not self.spatial_radius >= 1:
-            raise ValueError("spatial_radius must be >= 1")
-        if not self.range_radius > 0:
-            raise ValueError("range_radius must be positive")
-        if not self.min_region_size >= 1:
-            raise ValueError("min_region_size must be >= 1")
-        if not self.convergence_eps > 0:
-            raise ValueError("convergence_eps must be positive")
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be >= 1")
+    __post_init__ = _check_params
 
 
 # Candidate cells one batch of query points may hold: about 80 bytes of

@@ -153,7 +153,10 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
         if not row_lines and not _is_number(parts[0]):
             if len(parts) != 2:
                 raise FormatError(f"malformed header line: {line!r}")
-            header[parts[0].lower()] = parts[1]
+            key = parts[0].lower()
+            if key in header:
+                raise FormatError(f"duplicate header key {key}")
+            header[key] = parts[1]
         else:
             row_lines.append(parts)
 
@@ -163,6 +166,8 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
     try:
         ncols = int(header["ncols"])
         nrows = int(header["nrows"])
+        for key in ("xllcorner", "yllcorner"):  # checked, not carried into the grid
+            float(header[key])
         cellsize = float(header["cellsize"])
         nodata = float(header["nodata_value"]) if "nodata_value" in header else None
     except ValueError:

@@ -15,33 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LabelMap, LabImage, _require_int
+from .grids import LabelMap, LabImage, _check_params, _param
 from .labels import merge_small_regions
 
 
 @dataclass
 class SlicParams:
-    superpixels: int = 550
-    compactness: float = 30.0
-    iterations: int = 10
-    min_region_size: int | None = None  # None: quarter of the nominal area
+    superpixels: int = _param(550, ge=1)
+    compactness: float = _param(30.0, gt=0)
+    iterations: int = _param(10, ge=1)
+    min_region_size: int | None = _param(None, ge=1)  # None: quarter of the nominal area
 
-    def __post_init__(self) -> None:
-        _require_int("superpixels", self.superpixels)
-        _require_int("iterations", self.iterations)
-        if not self.superpixels >= 1:
-            raise ValueError("superpixels must be >= 1")
-        if not self.compactness > 0:
-            raise ValueError("compactness must be positive")
-        if not self.iterations >= 1:
-            raise ValueError("iterations must be >= 1")
-        if self.min_region_size is not None:
-            _require_int("min_region_size", self.min_region_size)
-            if self.min_region_size < 1:
-                raise ValueError("min_region_size must be >= 1")
+    __post_init__ = _check_params
 
 
-def _seed_centers(lab: np.ndarray, k: int, step: int) -> np.ndarray:
+def _seed_centers(lab: np.ndarray, step: int) -> np.ndarray:
     """Initial (L, a, b, x, y) centers on an even grid, moved off gradients.
 
     A center moves to a 3x3 neighbour only when that pixel has strictly
@@ -122,7 +110,7 @@ def slic(img: LabImage, params: SlicParams | None = None) -> LabelMap:
         raise ValueError("superpixel count exceeds pixel count")
 
     step = max(1, round(math.sqrt(n / p.superpixels)))
-    centers = _seed_centers(lab, p.superpixels, step)
+    centers = _seed_centers(lab, step)
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
 
     assign = slic_assign(lab, centers, step, p.compactness)

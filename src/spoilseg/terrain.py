@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grids import GrayImage, ScalarGrid
+from .grids import GrayImage, ScalarGrid, _check_params, _param
 
 # sentinel used when the input nodata value would collide with the [0,1] output range
 _SAFE_NODATA = -9999.0
@@ -22,29 +22,19 @@ _SAFE_NODATA = -9999.0
 
 @dataclass
 class HillshadeParams:
-    azimuth: float = 315.0
-    altitude: float = 45.0
-    z_factor: float = 1.0
+    azimuth: float = _param(315.0, ge=0, lt=360)
+    altitude: float = _param(45.0, gt=0, le=90)
+    z_factor: float = _param(1.0, gt=0)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.azimuth < 360.0:
-            raise ValueError("azimuth must lie in [0, 360)")
-        if not 0.0 < self.altitude <= 90.0:
-            raise ValueError("altitude must lie in (0, 90]")
-        if not self.z_factor > 0:
-            raise ValueError("z_factor must be positive")
+    __post_init__ = _check_params
 
 
 @dataclass
 class StretchParams:
-    strength: float = 3.0
-    scale: float = 2.0
+    strength: float = _param(3.0, gt=0)
+    scale: float = _param(2.0, gt=0)
 
-    def __post_init__(self) -> None:
-        if not self.strength > 0:
-            raise ValueError("strength must be positive")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+    __post_init__ = _check_params
 
 
 def _output_nodata(nodata: float | None) -> float | None:

@@ -13,23 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grids import GrayImage, LabelMap, ScalarGrid, _require_int
+from .grids import GrayImage, LabelMap, ScalarGrid, _check_params, _param
 
 
 @dataclass
 class VoronoiParams:
-    sigma: float = 12.0
-    peak_radius: int | None = None  # None: ceil(sigma)
+    sigma: float = _param(12.0, gt=0)
+    peak_radius: int | None = _param(None, ge=1)  # None: ceil(sigma)
     restrict_to_foreground: bool = True
     invert_foreground: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if self.peak_radius is not None:
-            _require_int("peak_radius", self.peak_radius)
-            if self.peak_radius < 1:
-                raise ValueError("peak_radius must be >= 1")
+    __post_init__ = _check_params
 
 
 @dataclass

@@ -227,7 +227,7 @@ def test_criterion_6_slic_structure():
         lab32 = np.zeros((32, 32, 3))
         lab32[..., 0] = values
         step, m = 8, 10.0
-        centers = _seed_centers(lab32, 16, step)
+        centers = _seed_centers(lab32, step)
         assign = slic_assign(lab32, centers, step, m)
         for y in range(32):
             for x in range(32):

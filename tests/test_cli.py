@@ -12,15 +12,20 @@ import pytest
 
 import spoilseg
 from spoilseg import (
+    HillshadeParams,
     LabelMap,
+    MeanShiftParams,
     RasterRGB,
+    SlicParams,
+    StretchParams,
+    VoronoiParams,
     read_asc_grid,
     read_gray_pgm16,
     read_pgm16,
     write_pgm16,
     write_ppm,
 )
-from spoilseg.cli import main
+from spoilseg.cli import _params, build_parser, main
 
 
 @pytest.fixture()
@@ -113,6 +118,21 @@ class TestSegmentCommands:
         assert main(["segment", "slic", "--in", str(src), "--k", "9", "--m", "20", "--out", str(out)]) == 0
         assert read_pgm16(out).region_count() >= 1
 
+    @pytest.mark.parametrize(
+        "argv, classes",
+        [
+            (["segment", "meanshift", "--in", "x", "--out", "y"], [MeanShiftParams]),
+            (["segment", "slic", "--in", "x", "--out", "y"], [SlicParams]),
+            (["segment", "voronoi", "--in", "x", "--out", "y"], [VoronoiParams]),
+            (["hillshade", "--dsm", "x", "--out", "y"], [HillshadeParams, StretchParams]),
+            (["synth", "--dsm", "x", "--gt", "y"], [StretchParams]),
+        ],
+        ids=["meanshift", "slic", "voronoi", "hillshade", "synth"],
+    )
+    def test_omitted_options_take_params_defaults(self, argv, classes):
+        args = build_parser().parse_args(argv)
+        assert [_params(cls, args) for cls in classes] == [cls() for cls in classes]
+
 
 class TestEvaluate:
     def test_self_evaluation_is_perfect(self, synth_files, tmp_path, capsys):
@@ -131,6 +151,19 @@ class TestEvaluate:
         assert main(["evaluate", "--gt", str(gt), "--pred", str(gt)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["threshold"] == 0.5
+
+    def test_no_relabel_scores_labels_as_given(self, tmp_path, capsys):
+        gt = np.zeros((6, 9), dtype=np.int32)
+        gt[1:5, 1:3] = 1
+        gt[1:5, 6:8] = 2
+        gt_path, pred_path = tmp_path / "gt.pgm", tmp_path / "pred.pgm"
+        write_pgm16(LabelMap(gt), gt_path)
+        write_pgm16(LabelMap(np.minimum(gt, 1)), pred_path)  # one label over both blobs
+        n_ms = []
+        for flags in ([], ["--no-relabel"]):
+            assert main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), *flags]) == 0
+            n_ms.append(json.loads(capsys.readouterr().out)["counts"]["n_ms"])
+        assert n_ms == [2, 1]
 
     def test_dimension_mismatch_fails_cleanly(self, synth_files, tmp_path, capsys):
         _, gt, _ = synth_files

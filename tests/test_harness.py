@@ -171,6 +171,19 @@ class TestRunSweep:
             assert row.error == f"ValueError: {name} must be an integer, got {row.params[name]!r}"
         assert good.error is None and good.scores is not None
 
+    @pytest.mark.parametrize(
+        "name, values, message",
+        [
+            ("sigma", [True, 12.0], "sigma must be a number, got True"),
+            ("restrict_to_foreground", ["no", True], "restrict_to_foreground must be a boolean, got 'no'"),
+        ],
+    )
+    def test_wrongly_typed_values_are_row_errors(self, pilefield, name, values, message):
+        hs, gt = pilefield
+        bad, good = run_sweep(voronoi_config(hs, gt, {name: values})).rows
+        assert bad.scores is None and bad.error == f"ValueError: {message}"
+        assert good.error is None and good.scores is not None
+
     def test_missing_input_for_algorithm(self, tmp_path, pilefield):
         _, gt = pilefield
         with pytest.raises(ValueError, match="image"):

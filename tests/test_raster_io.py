@@ -191,6 +191,20 @@ class TestAscGrid:
         with pytest.raises(FormatError, match=message):
             read_asc_grid(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("ncols 2\nnrows 1\nxllcorner abc\nyllcorner 0\ncellsize 1", "non-numeric header value"),
+            ("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\nNCOLS 3\ncellsize 1", "duplicate header key ncols"),
+        ],
+        ids=["non-numeric-corner", "duplicate-key"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "bad_header.asc"
+        path.write_text(f"{header}\n1.0 2.0\n")
+        with pytest.raises(FormatError, match=message):
+            read_asc_grid(path)
+
     def test_missing_header_key(self, tmp_path):
         path = tmp_path / "nokey.asc"
         path.write_text("ncols 1\nnrows 1\ncellsize 1\n1.0\n")

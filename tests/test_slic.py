@@ -89,7 +89,7 @@ class TestSlicAssign:
         values = np.kron(base, np.ones((8, 8)))
         lab = gray_lab(values).values
         step = 8
-        centers = _seed_centers(lab, 16, step)
+        centers = _seed_centers(lab, step)
         m = 10.0
         assign = slic_assign(lab, centers, step, m)
 

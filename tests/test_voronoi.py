@@ -16,7 +16,11 @@ from spoilseg import (
     detect_local_maxima,
     filter_background_seeds,
     gaussian_blur,
+    hillshade,
     otsu_threshold,
+    quantize8,
+    sigmoidal_stretch,
+    synth_pilefield,
     voronoi_label,
     voronoi_pipeline,
 )
@@ -257,3 +261,32 @@ class TestVoronoiPipeline:
         img = bump_field(80, 80, centers, sigma=5)
         seg = voronoi_pipeline(img, VoronoiParams(sigma=2.0, restrict_to_foreground=False))
         assert (seg.labels > 0).all()
+
+    def test_dsm_nodata_hole_reads_as_dark_ground(self):
+        # pins current behaviour: nodata is not masked past quantize8
+        dsm, _ = synth_pilefield(120, 120, 4, 8.0, 7)
+        holed = dsm.values.copy()
+        holed[28:34, 32:38] = -9999.0  # on the slope of a pile
+
+        def gray(grid):
+            return quantize8(sigmoidal_stretch(hillshade(grid)))
+
+        clean = gray(dsm)
+        hole = gray(ScalarGrid(holed, cellsize=dsm.cellsize, nodata=-9999.0))
+        # the hole plus every cell whose 3x3 hillshade window touches it
+        zeroed = np.zeros((120, 120), dtype=bool)
+        zeroed[27:35, 31:39] = True
+        assert (hole.values[zeroed] == 0).all() and (clean.values[zeroed] > 0).all()
+        assert np.array_equal(hole.values[~zeroed], clean.values[~zeroed])
+
+        sigma = 4.0
+        r = math.ceil(3.0 * sigma)  # blur kernel radius
+        smear = gaussian_blur(hole, sigma).values - gaussian_blur(clean, sigma).values
+        reach = np.zeros_like(zeroed)
+        reach[27 - r : 35 + r, 31 - r : 39 + r] = True
+        assert (smear[reach] < 0).all() and (smear[~reach] == 0).all()
+
+        # the hole's centre turns from pile to background
+        p = VoronoiParams(sigma=sigma)
+        assert (voronoi_pipeline(clean, p).labels[30:32, 34:36] > 0).all()
+        assert (voronoi_pipeline(hole, p).labels[30:32, 34:36] == 0).all()
