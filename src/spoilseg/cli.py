@@ -128,8 +128,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+class UsageError(ValueError):
+    """A command line argparse rejected: unknown command, missing or malformed option."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # raise instead of printing usage and exiting 2, so main reports usage
+    # errors like every other failure; subparsers inherit this class
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spoilseg", description=__doc__)
+    parser = _Parser(prog="spoilseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -214,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # the documented contract: one JSON line, never a traceback
         payload = {"error": type(exc).__name__, "message": str(exc)}

@@ -275,3 +275,75 @@ def mean_shift_modes(img, p) -> np.ndarray:
     bins = _mean_shift_bins(points, p.spatial_radius)
     modes = [_mean_shift_path(points, bins, i, p)[-1] for i in range(len(points))]
     return np.array(modes).reshape(img.pixels.shape[0], img.pixels.shape[1], 5)
+
+
+def seed_centers_loop(lab: np.ndarray, step: int) -> np.ndarray:
+    """SLIC seeding as a triple loop: grid centers, each moved to the first
+    3x3 neighbour (scan order) with strictly lower gradient than the best so far."""
+    h, w, _ = lab.shape
+    ny = max(1, round(h / step))
+    nx = max(1, round(w / step))
+    cys = np.floor((np.arange(ny) + 0.5) * h / ny).astype(np.int64)
+    cxs = np.floor((np.arange(nx) + 0.5) * w / nx).astype(np.int64)
+
+    right = np.concatenate([lab[:, 1:], lab[:, -1:]], axis=1)
+    left = np.concatenate([lab[:, :1], lab[:, :-1]], axis=1)
+    down = np.concatenate([lab[1:, :], lab[-1:, :]], axis=0)
+    up = np.concatenate([lab[:1, :], lab[:-1, :]], axis=0)
+    grad = ((right - left) ** 2).sum(axis=2) + ((down - up) ** 2).sum(axis=2)
+
+    centers = []
+    for cy in cys:
+        for cx in cxs:
+            best_y, best_x = int(cy), int(cx)
+            best_g = grad[best_y, best_x]
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    y, x = int(cy) + dy, int(cx) + dx
+                    if 0 <= y < h and 0 <= x < w and grad[y, x] < best_g:
+                        best_g = grad[y, x]
+                        best_y, best_x = y, x
+            centers.append([*lab[best_y, best_x], float(best_x), float(best_y)])
+    return np.array(centers, dtype=np.float64)
+
+
+def slic_assign_loop(lab: np.ndarray, centers: np.ndarray, step: int, compactness: float) -> np.ndarray:
+    """SLIC assignment as a per-center window loop over the (h, w, 3) image,
+    with a per-pixel exhaustive search for pixels no window reached.
+    Ties keep the lower-index center."""
+    h, w, _ = lab.shape
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    best_d2 = np.full((h, w), np.inf)
+    assign = np.full((h, w), -1, dtype=np.int64)
+    m2_s2 = (compactness / step) ** 2
+
+    for ci, (L, a, b, cx, cy) in enumerate(centers):
+        y0, y1 = max(0, int(cy) - step), min(h, int(cy) + step + 1)
+        x0, x1 = max(0, int(cx) - step), min(w, int(cx) + step + 1)
+        if y0 >= y1 or x0 >= x1:
+            continue
+        win = lab[y0:y1, x0:x1]
+        d_lab2 = ((win - np.array([L, a, b])) ** 2).sum(axis=2)
+        d_xy2 = (xs[y0:y1, x0:x1] - cx) ** 2 + (ys[y0:y1, x0:x1] - cy) ** 2
+        d2 = d_lab2 + d_xy2 * m2_s2
+        better = d2 < best_d2[y0:y1, x0:x1]
+        assign[y0:y1, x0:x1][better] = ci
+        best_d2[y0:y1, x0:x1][better] = d2[better]
+
+    for y, x in zip(*np.nonzero(assign < 0)):
+        d_lab2 = ((centers[:, :3] - lab[y, x]) ** 2).sum(axis=1)
+        d_xy2 = (centers[:, 3] - x) ** 2 + (centers[:, 4] - y) ** 2
+        assign[y, x] = int(np.argmin(d_lab2 + d_xy2 * m2_s2))
+    return assign
+
+
+def nearest_center_exhaustive(lab: np.ndarray, centers: np.ndarray, step: int, compactness: float) -> np.ndarray:
+    """Per-pixel argmin of the SLIC distance over every center, ignoring windows."""
+    h, w, _ = lab.shape
+    out = np.empty((h, w), dtype=np.int64)
+    for y in range(h):
+        for x in range(w):
+            d_lab2 = ((centers[:, :3] - lab[y, x]) ** 2).sum(axis=1)
+            d_xy2 = (centers[:, 3] - x) ** 2 + (centers[:, 4] - y) ** 2
+            out[y, x] = int(np.argmin(d_lab2 + d_xy2 * (compactness / step) ** 2))
+    return out

@@ -288,6 +288,35 @@ class TestSweepCli:
         assert json.loads(capsys.readouterr().err)["error"] in ("FileNotFoundError", "OSError")
 
 
+class TestUsageErrors:
+    """argparse rejections follow the same one-line JSON error, exit 1 contract."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["segment", "slic", "--in", "x.ppm", "--out", "y.pgm", "--k", "abc"],
+             "spoilseg segment slic: argument --k: invalid int value: 'abc'"),
+            (["segment", "slic", "--in", "x.ppm"],
+             "spoilseg segment slic: the following arguments are required: --out"),
+            (["bogus"], "spoilseg: argument command: invalid choice: 'bogus'"),
+        ],
+        ids=["bad-type", "missing-required", "unknown-command"],
+    )
+    def test_usage_error_is_json_exit_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["error"] == "UsageError"
+        assert payload["message"].startswith(message)
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["segment", "slic", "--help"])
+        assert exc.value.code == 0
+        assert "--k" in capsys.readouterr().out
+
+
 class TestModuleEntryPoint:
     """``python -m spoilseg`` and ``python -m spoilseg.cli`` run the CLI."""
 
@@ -313,6 +342,11 @@ class TestModuleEntryPoint:
         done = self.run("spoilseg", ["sweep", "--config", "sweep.json"], tmp_path)
         assert done.returncode == 1
         assert json.loads(done.stderr) == {"error": "ValueError", "message": "sweep config is missing 'algorithm'"}
+
+    def test_unknown_command_exits_1_with_json_error(self, tmp_path):
+        done = self.run("spoilseg", ["bogus"], tmp_path)
+        assert done.returncode == 1
+        assert json.loads(done.stderr)["error"] == "UsageError"
 
 
 class TestIngestCli:

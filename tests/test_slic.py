@@ -1,13 +1,23 @@
 """SLIC superpixels and small-region merging."""
 
+import importlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import absorb_small_components, flood_fill_components
+from oracles import (
+    absorb_small_components,
+    flood_fill_components,
+    nearest_center_exhaustive,
+    seed_centers_loop,
+    slic_assign_loop,
+)
 from spoilseg import LabelMap, LabImage, SlicParams, merge_small_regions, slic
 from spoilseg.slic import _seed_centers, slic_assign
+
+slic_module = importlib.import_module("spoilseg.slic")  # the package's `slic` is the function
 
 
 def gray_lab(values: np.ndarray) -> LabImage:
@@ -79,6 +89,53 @@ class TestSlic:
         assert a.as_floats() == b.as_floats()
 
 
+def chromatic_lab(rng, h: int, w: int, layout: str) -> np.ndarray:
+    """Lab values on a coarse grid (frequent distance ties), stored contiguous or as a strided view."""
+    lab = rng.integers(-4, 5, size=(h, w, 3)) * 12.5
+    lab[..., 0] += 50.0
+    if layout == "transposed":
+        return np.ascontiguousarray(lab.transpose(1, 0, 2)).transpose(1, 0, 2)
+    if layout == "strided":
+        wide = np.zeros((h, 2 * w, 3))
+        wide[:, ::2] = lab
+        return wide[:, ::2]
+    return lab
+
+
+class TestSeedCenters:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(1, 14),
+        w=st.integers(1, 14),
+        step=st.integers(1, 6),
+        kind=st.sampled_from(["uniform", "two-tone", "chromatic", "noisy"]),
+    )
+    @example(seed=0, h=1, w=1, step=1, kind="uniform")
+    @example(seed=0, h=1, w=1, step=3, kind="chromatic")
+    @example(seed=0, h=2, w=9, step=1, kind="two-tone")
+    def test_matches_triple_loop(self, seed, h, w, step, kind):
+        # small images and steps put grid cells on the image edge; plateaus
+        # (uniform, two-tone) test that equal gradients never move a center
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            lab = np.full((h, w, 3), 40.0)
+        elif kind == "two-tone":
+            lab = np.zeros((h, w, 3))
+            lab[:, : w // 2, 0] = 80.0
+        elif kind == "chromatic":
+            lab = chromatic_lab(rng, h, w, "contiguous")
+        else:
+            lab = rng.uniform(-50, 50, size=(h, w, 3))
+        assert np.array_equal(_seed_centers(lab, step), seed_centers_loop(lab, step))
+
+    def test_nan_neighbour_never_attracts_a_center(self):
+        lab = np.full((9, 9, 3), 10.0)
+        lab[3, 5, 1] = np.nan
+        lab[4, 4, 0] = 0.0
+        assert np.array_equal(_seed_centers(lab, 9), seed_centers_loop(lab, 9), equal_nan=True)
+
+
 class TestSlicAssign:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -92,14 +149,56 @@ class TestSlicAssign:
         centers = _seed_centers(lab, step)
         m = 10.0
         assign = slic_assign(lab, centers, step, m)
+        assert np.array_equal(assign, nearest_center_exhaustive(lab, centers, step, m))
 
-        h, w, _ = lab.shape
-        for y in range(h):
-            for x in range(w):
-                d_lab2 = ((centers[:, :3] - lab[y, x]) ** 2).sum(axis=1)
-                d_xy2 = (centers[:, 3] - x) ** 2 + (centers[:, 4] - y) ** 2
-                d2 = d_lab2 + d_xy2 * (m / step) ** 2
-                assert assign[y, x] == int(np.argmin(d2))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(1, 18),
+        w=st.integers(1, 18),
+        step=st.integers(1, 5),
+        k=st.integers(1, 8),
+        duplicates=st.booleans(),
+        layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+        compactness=st.sampled_from([0.5, 10.0, 30.0]),
+    )
+    @example(seed=1, h=6, w=7, step=1, k=4, duplicates=True, layout="strided", compactness=10.0)
+    def test_matches_window_loop(self, seed, h, w, step, k, duplicates, layout, compactness):
+        # centers range past the border (clipped or empty windows, orphan
+        # pixels); integer positions and coarse colours make exact ties
+        rng = np.random.default_rng(seed)
+        lab = chromatic_lab(rng, h, w, layout)
+        centers = np.column_stack(
+            [
+                rng.integers(-4, 5, size=(k, 3)) * 12.5 + [50.0, 0.0, 0.0],
+                rng.integers(-step - 1, w + step + 1, size=k),
+                rng.integers(-step - 1, h + step + 1, size=k),
+            ]
+        ).astype(np.float64)
+        if duplicates:
+            centers = np.concatenate([centers, centers[::-1]])
+        ours = slic_assign(lab, centers, step, compactness)
+        assert np.array_equal(ours, slic_assign_loop(lab, centers, step, compactness))
+
+    @pytest.mark.parametrize("block_cells", [1 << 18, 3])
+    def test_orphans_take_their_exhaustive_nearest_center(self, monkeypatch, block_cells):
+        # two windows of side 5 on a 20x20 image leave most pixels to the
+        # fallback; the duplicate of center 0 must never win a tie
+        monkeypatch.setattr(slic_module, "_ORPHAN_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(7)
+        lab = chromatic_lab(rng, 20, 20, "contiguous")
+        centers = np.array(
+            [[50.0, 0.0, 0.0, 3.0, 3.0], [50.0, 12.5, -12.5, 16.0, 15.0], [50.0, 0.0, 0.0, 3.0, 3.0]]
+        )
+        step, m = 2, 10.0
+        ours = slic_assign(lab, centers, step, m)
+        covered = np.zeros((20, 20), dtype=bool)
+        covered[1:6, 1:6] = covered[13:18, 14:19] = True
+        orphans = ~covered
+        assert orphans.sum() == 400 - 50
+        assert np.array_equal(ours[orphans], nearest_center_exhaustive(lab, centers, step, m)[orphans])
+        assert np.array_equal(ours, slic_assign_loop(lab, centers, step, m))
+        assert not (ours == 2).any()
 
 
 class TestEnforceConnectivity:
