@@ -7,6 +7,7 @@ the arrays are treated as immutable.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import typing
@@ -24,56 +25,123 @@ def _param(default: object, **bounds: float) -> typing.Any:
     return field(default=default, metadata=bounds)
 
 
-def _check_params(self: object) -> None:
-    """``__post_init__`` of every Params dataclass: each field's type, then its bounds.
+def _check_field(name: str, value: object, hint: object, bounds: typing.Mapping[str, float]) -> None:
+    """One value against a field type and its bounds.
 
     ``int`` and ``float`` refuse a bool, ``bool`` takes only a bool, ``X | None``
     also takes None.  NaN fails every bound; ``inf`` passes where there is no upper one.
     """
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return
+    noun, abstract = _KINDS[kinds[0]]
+    if not isinstance(value, abstract) or isinstance(value, bool) != (kinds[0] is bool):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    for key, limit in bounds.items():
+        holds, symbol = _BOUNDS[key]
+        if not holds(value, limit):
+            raise ValueError(f"{name} must be {symbol} {limit}, got {value!r}")
+
+
+def _check_params(self: object) -> None:
+    """``__post_init__`` of every Params dataclass: each field's type, then its bounds."""
     hints = typing.get_type_hints(type(self))
     for f in fields(self):
-        value = getattr(self, f.name)
-        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
-        if value is None and type(None) in kinds:
-            continue
-        noun, abstract = _KINDS[kinds[0]]
-        if not isinstance(value, abstract) or isinstance(value, bool) != (kinds[0] is bool):
-            raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-        for key, limit in f.metadata.items():
-            holds, symbol = _BOUNDS[key]
-            if not holds(value, limit):
-                raise ValueError(f"{f.name} must be {symbol} {limit}, got {value!r}")
+        _check_field(f.name, getattr(self, f.name), hints[f.name], f.metadata)
 
 
-@dataclass
-class RasterRGB:
-    """8-bit three-channel image, ``pixels`` shaped (height, width, 3)."""
+_FINITE = (-math.inf, math.inf)
 
-    pixels: np.ndarray
 
-    def __post_init__(self) -> None:
-        p = np.asarray(self.pixels)
-        if p.ndim != 3 or p.shape[2] != 3:
-            raise ValueError("RasterRGB pixels must have shape (h, w, 3)")
-        if p.shape[0] < 1 or p.shape[1] < 1:
-            raise ValueError("RasterRGB must be at least 1x1")
-        if p.dtype != np.uint8:
-            if np.any((p < 0) | (p > 255)):
-                raise ValueError("RGB values must lie in 0..255")
-            p = p.astype(np.uint8)
-        self.pixels = p
+class _Form(typing.NamedTuple):
+    """How a value type holds its array: the stored ``dtype``, the numpy dtype
+    ``kinds`` accepted, and one closed (lo, hi) range per channel, widened by
+    ``slack``; one range means an (h, w) plane, three mean (h, w, 3)."""
+
+    dtype: type
+    kinds: str
+    bounds: tuple[tuple[float, float], ...]
+    slack: float = 0.0
+
+
+def _within(v: np.ndarray, lo: float, hi: float) -> bool:
+    """Every value finite and in [lo, hi] (NaN is neither) in at most one
+    pass for finite-only bounds or an integer dtype, which skips the
+    reduction its own range already settles."""
+    if v.dtype.kind in "iu":
+        info = np.iinfo(v.dtype)
+        return (info.min >= lo or v.min() >= lo) and (info.max <= hi or v.max() <= hi)
+    if (lo, hi) == _FINITE:
+        return bool(np.isfinite(v).all())
+    mn, mx = float(v.min()), float(v.max())
+    return math.isfinite(mn) and math.isfinite(mx) and lo <= mn and mx <= hi
+
+
+def _check_raster(self: _Raster, skip: float | None = None) -> None:
+    """Check a value type's array (its first field) against its ``_form`` and
+    store it in the form's dtype, with no copy when it already has it.
+
+    Rejects a wrong shape, a size below 1x1, a bool or non-numeric dtype, a
+    value out of its channel's range or not finite, and a fraction for an
+    integer dtype.  Cells equal to ``skip`` are exempt from the ranges.
+    """
+    form = self._form
+    attr = fields(self)[0].name
+    name = f"{type(self).__name__} {attr}"
+    a = np.asarray(getattr(self, attr))
+    trailing = () if len(form.bounds) == 1 else (len(form.bounds),)
+    if a.ndim != 2 + len(trailing) or a.shape[2:] != trailing:
+        raise ValueError(f"{name} must have shape (h, w{', 3' * bool(trailing)}), got {a.shape}")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"{type(self).__name__} must be at least 1x1, got shape {a.shape}")
+    if a.dtype.kind not in form.kinds:
+        raise ValueError(f"{name} must be {'integers' if form.kinds == 'iu' else 'numbers'}, got dtype {a.dtype}")
+
+    data = a if skip is None else a[a != skip]
+    outer = (min(lo for lo, _ in form.bounds), max(hi for _, hi in form.bounds))
+    # the whole array against the widest range, then each narrower channel
+    for c, (lo, hi) in [(None, outer), *((c, b) for c, b in enumerate(form.bounds) if b != outer)]:
+        v = data if c is None else data[..., c]
+        if v.size and not _within(v, lo - form.slack, hi + form.slack):
+            rule = "finite" if (lo, hi) == _FINITE else f"in [{lo}, {hi}]"
+            which = "" if c is None else f" channel {c}"
+            raise ValueError(f"{name}{which} must be {rule}, got values from {v.min()} to {v.max()}")
+
+    if a.dtype != form.dtype:
+        out = a.astype(form.dtype)
+        if a.dtype.kind == "f" and out.dtype.kind != "f" and not np.array_equal(out, a):
+            raise ValueError(f"{name} must be whole numbers, got {a[out != a].flat[0]}")
+        a = out
+    setattr(self, attr, a)
+
+
+class _Raster:
+    """Base of the value types: the first dataclass field is the array,
+    checked against the class's ``_form`` when the object is built."""
+
+    _form: typing.ClassVar[_Form]
+
+    __post_init__ = _check_raster
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return getattr(self, fields(self)[0].name).shape[1]
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return getattr(self, fields(self)[0].name).shape[0]
 
 
 @dataclass
-class ScalarGrid:
+class RasterRGB(_Raster):
+    """8-bit three-channel image, ``pixels`` shaped (height, width, 3)."""
+
+    _form = _Form(np.uint8, "iuf", ((0, 255),) * 3)
+    pixels: np.ndarray
+
+
+@dataclass
+class ScalarGrid(_Raster):
     """Single-channel float grid with optional nodata sentinel.
 
     ``cellsize`` is the ground size of one pixel.  Cells holding exactly the
@@ -81,30 +149,15 @@ class ScalarGrid:
     every other value must be finite.
     """
 
+    _form = _Form(np.float64, "iuf", (_FINITE,))
     values: np.ndarray
     cellsize: float | None = 1.0
     nodata: float | None = None
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError("ScalarGrid values must be 2-D")
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError("ScalarGrid must be at least 1x1")
-        if self.cellsize is not None and not self.cellsize > 0:
-            raise ValueError("cellsize must be positive")
-        data = v if self.nodata is None else v[v != self.nodata]
-        if not np.all(np.isfinite(data)):
-            raise ValueError("non-nodata values must be finite")
-        self.values = v
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
+        _check_field("cellsize", self.cellsize, float | None, {"gt": 0, "lt": math.inf})
+        _check_field("nodata", self.nodata, float | None, {})
+        _check_raster(self, skip=self.nodata)
 
     @property
     def nodata_mask(self) -> np.ndarray:
@@ -119,30 +172,11 @@ class ScalarGrid:
 
 
 @dataclass
-class LabelMap:
+class LabelMap(_Raster):
     """Non-negative integer region map; 0 is background, positive ids are regions."""
 
+    _form = _Form(np.int32, "iu", ((0, np.iinfo(np.int32).max),))
     labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        lab = np.asarray(self.labels)
-        if lab.ndim != 2:
-            raise ValueError("LabelMap labels must be 2-D")
-        if lab.shape[0] < 1 or lab.shape[1] < 1:
-            raise ValueError("LabelMap must be at least 1x1")
-        if not np.issubdtype(lab.dtype, np.integer):
-            raise ValueError("labels must be integers")
-        if lab.min() < 0:
-            raise ValueError("labels must be non-negative")
-        self.labels = lab.astype(np.int32) if lab.dtype != np.int32 else lab
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
 
     def label_ids(self) -> np.ndarray:
         """Sorted array of the positive labels actually used."""
@@ -159,51 +193,17 @@ class LabelMap:
 
 
 @dataclass
-class GrayImage:
+class GrayImage(_Raster):
     """8-bit single-channel image, ``values`` shaped (height, width)."""
 
+    _form = _Form(np.uint8, "iuf", ((0, 255),))
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values)
-        if v.ndim != 2:
-            raise ValueError("GrayImage values must be 2-D")
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError("GrayImage must be at least 1x1")
-        if v.dtype != np.uint8:
-            if np.any((v < 0) | (v > 255)):
-                raise ValueError("gray values must lie in 0..255")
-            v = v.astype(np.uint8)
-        self.values = v
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
-class LabImage:
-    """CIELAB image, ``values`` shaped (height, width, 3) as (L, a, b) floats."""
+class LabImage(_Raster):
+    """CIELAB image, ``values`` shaped (height, width, 3) as (L, a, b) floats;
+    L lies in [0, 100] up to 1e-9, a and b are finite."""
 
+    _form = _Form(np.float64, "iuf", ((0, 100), _FINITE, _FINITE), slack=1e-9)
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 3 or v.shape[2] != 3:
-            raise ValueError("LabImage values must have shape (h, w, 3)")
-        L = v[..., 0]
-        if np.any(L < -1e-9) or np.any(L > 100.0 + 1e-9):
-            raise ValueError("L channel must lie in [0, 100]")
-        self.values = v
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]

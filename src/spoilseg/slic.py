@@ -57,18 +57,16 @@ def _seed_centers(lab: np.ndarray, step: int) -> np.ndarray:
     cys = np.floor((np.arange(ny) + 0.5) * h / ny).astype(np.int64)
     cxs = np.floor((np.arange(nx) + 0.5) * w / nx).astype(np.int64)
 
-    right = np.concatenate([lab[:, 1:], lab[:, -1:]], axis=1)
-    left = np.concatenate([lab[:, :1], lab[:, :-1]], axis=1)
-    down = np.concatenate([lab[1:, :], lab[-1:, :]], axis=0)
-    up = np.concatenate([lab[:1, :], lab[:-1, :]], axis=0)
-    grad = ((right - left) ** 2).sum(axis=2) + ((down - up) ** 2).sum(axis=2)
-
     # candidate 0 is the grid cell itself, so argmin's first-minimum rule
     # moves a center only on a strictly lower gradient
     ys = cys[None, :, None] + _NEIGHBOURS[:, 0, None, None]
     xs = cxs[None, None, :] + _NEIGHBOURS[:, 1, None, None]
     inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-    cand = np.where(inside, grad[ys.clip(0, h - 1), xs.clip(0, w - 1)], np.inf)
+    ys, xs = ys.clip(0, h - 1), xs.clip(0, w - 1)
+    # edge-replicated central differences, taken at the candidates only
+    dx = lab[ys, np.minimum(xs + 1, w - 1)] - lab[ys, np.maximum(xs - 1, 0)]
+    dy = lab[np.minimum(ys + 1, h - 1), xs] - lab[np.maximum(ys - 1, 0), xs]
+    cand = np.where(inside, (dx**2).sum(axis=-1) + (dy**2).sum(axis=-1), np.inf)
     cand[1:][np.isnan(cand[1:])] = np.inf  # a NaN neighbour never compares lower
     pick = cand.argmin(axis=0)
     best_y = (cys[:, None] + _NEIGHBOURS[pick, 0]).ravel()

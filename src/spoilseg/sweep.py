@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .colorspace import rgb_to_lab
-from .grids import LabelMap
+from .grids import LabelMap, _check_field
 from .hoover import HooverScores, evaluate_segmentation
 from .labels import drop_small_regions, relabel_connected
 from .meanshift import MeanShiftParams, mean_shift_segment
@@ -261,9 +261,10 @@ def ingest_external_mask(
     """Load and normalise an externally produced label mask.
 
     The mask is split into connected components; regions below ``min_region``
-    pixels drop to background.  Returns the normalised map plus a report
-    fragment carrying the metadata and region counts.
+    pixels (an integer >= 0) drop to background.  Returns the normalised map
+    plus a report fragment carrying the metadata and region counts.
     """
+    _check_field("min_region", min_region, int, {"ge": 0})
     m = relabel_connected(read_pgm16(path))
     raw_regions = m.region_count()
     if min_region > 0:

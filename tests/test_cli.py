@@ -377,6 +377,16 @@ class TestIngestCli:
         assert code == 1
         assert "key=value" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_negative_min_region(self, tmp_path, capsys):
+        src = tmp_path / "mask.pgm"
+        write_pgm16(LabelMap(np.ones((4, 4), dtype=np.int32)), src)
+        out = tmp_path / "o.pgm"
+        code = main(["ingest", "--in", str(src), "--out", str(out), "--min-region", "-5"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "min_region must be >= 0, got -5"}
+        assert not out.exists()
+
 
 class TestScoreExternalMaskScript:
     def test_bad_param_syntax(self, tmp_path, monkeypatch, capsys):
