@@ -7,6 +7,7 @@ the arrays are treated as immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -43,11 +44,17 @@ def _check_field(name: str, value: object, hint: object, bounds: typing.Mapping[
             raise ValueError(f"{name} must be {symbol} {limit}, got {value!r}")
 
 
+@functools.cache
+def _field_specs(cls: type) -> tuple[tuple[str, object, typing.Mapping[str, float]], ...]:
+    """(name, type, bounds) of each field of a Params class, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.metadata) for f in fields(cls))
+
+
 def _check_params(self: object) -> None:
     """``__post_init__`` of every Params dataclass: each field's type, then its bounds."""
-    hints = typing.get_type_hints(type(self))
-    for f in fields(self):
-        _check_field(f.name, getattr(self, f.name), hints[f.name], f.metadata)
+    for name, hint, bounds in _field_specs(type(self)):
+        _check_field(name, getattr(self, name), hint, bounds)
 
 
 _FINITE = (-math.inf, math.inf)

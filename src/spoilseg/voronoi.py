@@ -15,6 +15,12 @@ from scipy import ndimage
 
 from .grids import GrayImage, LabelMap, ScalarGrid, _check_params, _param
 
+# Voronoi labelling works on _TILE × _TILE tiles.  On a 1000² hillshade, 16
+# was 1.7–2.8× slower at sigma 20 and 10, and 64 was 2.7–3.7× slower at sigma ≤ 2.
+_TILE = 32
+# Most (candidate seed, tile pixel) squared distances held at once.
+_BLOCK_CELLS = 1 << 18
+
 
 @dataclass
 class VoronoiParams:
@@ -40,7 +46,10 @@ class SeedSet:
         it = np.asarray(self.intensities, dtype=np.int64)
         if not (xs.shape == ys.shape == it.shape) or xs.ndim != 1:
             raise ValueError("seed arrays must be 1-D and equally long")
-        if xs.size and len({(int(x), int(y)) for x, y in zip(xs, ys)}) != xs.size:
+        # in (y, x) order a duplicate sits next to its twin
+        order = np.lexsort((xs, ys))
+        sx, sy = xs[order], ys[order]
+        if np.any((sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])):
             raise ValueError("duplicate seed coordinates")
         self.xs, self.ys, self.intensities = xs, ys, it
 
@@ -151,30 +160,70 @@ def voronoi_label(
     """Label each pixel by its nearest seed (Euclidean); seed i gets label i+1.
 
     Exact squared integer distances decide ties toward the lower seed index.
-    With a mask, only foreground pixels are labelled; background stays 0.
+    With a mask (bool, shaped (height, width)), only foreground pixels are
+    labelled; background stays 0.
+
+    Works one ``_TILE`` × ``_TILE`` tile at a time, comparing each tile only
+    with the seeds that can win or tie somewhere in it.
     """
     if len(seeds) == 0:
         raise ValueError("empty seed set")
     if seeds.xs.min() < 0 or seeds.xs.max() >= width or seeds.ys.min() < 0 or seeds.ys.max() >= height:
         raise ValueError("seed coordinates out of bounds")
-    if mask is None:
-        yy, xx = np.mgrid[0:height, 0:width]
-        yy, xx = yy.ravel(), xx.ravel()
-    else:
-        yy, xx = np.nonzero(mask)
+    if mask is not None:
+        mask = np.asarray(mask)
+        if mask.shape != (height, width) or mask.dtype != bool:
+            raise ValueError(f"mask must be a bool array of shape ({height}, {width})")
+    sx, sy = seeds.xs, seeds.ys
     labels = np.zeros((height, width), dtype=np.int32)
-    if yy.size == 0:
-        return LabelMap(labels)
-
-    best_d2 = np.full(yy.size, np.iinfo(np.int64).max, dtype=np.int64)
-    best = np.zeros(yy.size, dtype=np.int32)
-    for i, (sx, sy) in enumerate(zip(seeds.xs, seeds.ys)):
-        d2 = (xx - sx) ** 2 + (yy - sy) ** 2
-        closer = d2 < best_d2
-        best[closer] = i + 1
-        best_d2[closer] = d2[closer]
-    labels[yy, xx] = best
+    for y0 in range(0, height, _TILE):
+        y1 = min(y0 + _TILE, height)
+        ys = np.arange(y0, y1)
+        # squared row distances from each seed to the nearest and farthest tile row
+        dy_near = np.maximum(np.maximum(y0 - sy, sy - (y1 - 1)), 0) ** 2
+        dy_far = np.maximum(sy - y0, (y1 - 1) - sy) ** 2
+        for x0 in range(0, width, _TILE):
+            x1 = min(x0 + _TILE, width)
+            fg = None if mask is None else mask[y0:y1, x0:x1]
+            if fg is not None and not fg.any():
+                continue
+            d_near = dy_near + np.maximum(np.maximum(x0 - sx, sx - (x1 - 1)), 0) ** 2
+            d_far = dy_far + np.maximum(sx - x0, (x1 - 1) - sx) ** 2
+            # a seed whose nearest tile point lies beyond some seed's farthest
+            # one is strictly farther at every tile pixel: it can neither win nor tie
+            cand = np.flatnonzero(d_near <= d_far.min())
+            best = _nearest_in_tile(sx[cand], sy[cand], np.arange(x0, x1), ys)
+            tile = (cand[best] + 1).astype(np.int32)
+            labels[y0:y1, x0:x1] = tile if fg is None else np.where(fg, tile, 0)
     return LabelMap(labels)
+
+
+def _nearest_in_tile(cx: np.ndarray, cy: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Per pixel of the xs × ys tile, the position in (cx, cy) of the nearest seed.
+
+    Candidates are taken in blocks of at most ``_BLOCK_CELLS`` distance cells;
+    within a block ``argmin`` keeps the first minimum and across blocks only a
+    strictly smaller distance replaces it, so ties go to the lowest position.
+    """
+    block = max(1, _BLOCK_CELLS // (xs.size * ys.size))
+
+    def distances(lo: int) -> np.ndarray:
+        bx, by = cx[lo : lo + block, None, None], cy[lo : lo + block, None, None]
+        return (xs[None, None, :] - bx) ** 2 + (ys[None, :, None] - by) ** 2
+
+    d2 = distances(0)
+    best = d2.argmin(axis=0)
+    if cx.size <= block:
+        return best
+    best_d2 = np.take_along_axis(d2, best[None], axis=0)[0]
+    for lo in range(block, cx.size, block):
+        d2 = distances(lo)
+        i = d2.argmin(axis=0)
+        i_d2 = np.take_along_axis(d2, i[None], axis=0)[0]
+        closer = i_d2 < best_d2
+        best[closer] = i[closer] + lo
+        best_d2[closer] = i_d2[closer]
+    return best
 
 
 def _requantize8(grid: ScalarGrid) -> GrayImage:

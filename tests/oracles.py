@@ -56,6 +56,32 @@ def nearest_seed_labels(
     return out
 
 
+def voronoi_label_loop(
+    xs: np.ndarray, ys: np.ndarray, width: int, height: int, mask: np.ndarray | None = None
+) -> np.ndarray:
+    """Nearest-seed labelling as a per-seed loop over every (foreground) pixel:
+    seed i gets label i + 1, a strictly smaller squared distance replaces the
+    best so far, so ties keep the lower seed index."""
+    if mask is None:
+        yy, xx = np.mgrid[0:height, 0:width]
+        yy, xx = yy.ravel(), xx.ravel()
+    else:
+        yy, xx = np.nonzero(mask)
+    labels = np.zeros((height, width), dtype=np.int32)
+    if yy.size == 0:
+        return labels
+
+    best_d2 = np.full(yy.size, np.iinfo(np.int64).max, dtype=np.int64)
+    best = np.zeros(yy.size, dtype=np.int32)
+    for i, (sx, sy) in enumerate(zip(xs, ys)):
+        d2 = (xx - sx) ** 2 + (yy - sy) ** 2
+        closer = d2 < best_d2
+        best[closer] = i + 1
+        best_d2[closer] = d2[closer]
+    labels[yy, xx] = best
+    return labels
+
+
 def plateau_peak_seeds(
     values: np.ndarray, peak_radius: int, missing: np.ndarray | None = None
 ) -> list[tuple[int, int, int]]:

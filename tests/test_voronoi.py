@@ -1,13 +1,22 @@
 """Gaussian blur, peak seeding, Otsu masking and Voronoi labelling."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_otsu, nearest_seed_labels, plateau_peak_seeds, sampled_gaussian_kernel
+from oracles import (
+    exhaustive_otsu,
+    nearest_seed_labels,
+    plateau_peak_seeds,
+    sampled_gaussian_kernel,
+    voronoi_label_loop,
+)
+from spoilseg import voronoi
 from spoilseg import (
     GrayImage,
     ScalarGrid,
@@ -188,6 +197,31 @@ class TestFilterBackgroundSeeds:
         assert out.xs.tolist() == [1, 5]
 
 
+class TestSeedSet:
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([1, 3, 1], [2, 4, 2]),
+            ([5, 0, 5, 7], [5, 0, 5, 0]),
+            ([-(2**63), 2**63 - 1, -(2**63)], [2**63 - 1, 0, 2**63 - 1]),
+        ],
+    )
+    def test_duplicate_coordinates_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="duplicate seed coordinates"):
+            SeedSet(np.array(xs), np.array(ys), np.zeros(len(xs), dtype=int))
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([1, 2], [2, 1]),  # swapped coordinates
+            ([0, 0, 0], [0, 1, 2]),
+            ([-(2**63), 2**63 - 1], [2**63 - 1, 2**63 - 1]),  # spans overflow a linear index
+        ],
+    )
+    def test_distinct_coordinates_accepted(self, xs, ys):
+        assert len(SeedSet(np.array(xs), np.array(ys), np.zeros(len(xs), dtype=int))) == len(xs)
+
+
 class TestVoronoiLabel:
     def test_two_seed_strip(self):
         seeds = SeedSet(np.array([0, 9]), np.array([0, 0]), np.array([1, 1]))
@@ -223,6 +257,129 @@ class TestVoronoiLabel:
         ours = voronoi_label(seeds, 64, 64)
         oracle = nearest_seed_labels(list(zip(xs.tolist(), ys.tolist())), 64, 64)
         assert np.array_equal(ours.labels, oracle)
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [
+            ((3, 3), bool),  # used to label only the 9 pixels it covers
+            ((20, 20), bool),  # used to raise IndexError
+            ((12, 10), bool),
+            ((10, 12), np.uint8),  # right shape, 0/1 values
+            ((10, 12), np.int64),
+            ((10, 12), np.float64),
+        ],
+        ids=["smaller", "larger", "transposed", "uint8", "int64", "float64"],
+    )
+    def test_misshaped_or_non_bool_mask_rejected(self, shape, dtype):
+        seeds = SeedSet(np.array([0, 9]), np.array([0, 5]), np.array([1, 1]))
+        mask = np.ones(shape, dtype=dtype)
+        with pytest.raises(ValueError, match=r"mask must be a bool array of shape \(10, 12\)"):
+            voronoi_label(seeds, 12, 10, mask)
+
+
+@st.composite
+def seed_layouts(draw, max_side):
+    """(xs, ys, width, height, mask) with tie-heavy seeds and ragged tiles.
+
+    Layouts: random points, a shuffled lattice (many-way ties midway between
+    lattice points), point-symmetric pairs (two-way ties on the bisector),
+    border and corner points, and a single seed.  Masks: none, random, or
+    all background.
+    """
+    side = st.one_of(st.just(1), st.integers(1, max_side))
+    h, w = draw(side), draw(side)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["random", "lattice", "symmetric", "border", "single"]))
+    if layout == "random":
+        n = int(rng.integers(1, min(h * w, 40) + 1))
+        xs, ys = rng.integers(0, w, n), rng.integers(0, h, n)
+    elif layout == "lattice":
+        step_x, step_y = rng.integers(1, 9, 2)
+        ys, xs = np.mgrid[rng.integers(0, min(step_y, h)) : h : step_y, rng.integers(0, min(step_x, w)) : w : step_x]
+        xs, ys = xs.ravel(), ys.ravel()
+    elif layout == "symmetric":
+        # pairs p and q = c - p around one doubled centre c
+        cx, cy = rng.integers(0, 2 * w - 1), rng.integers(0, 2 * h - 1)
+        px, py = rng.integers(0, w, 20), rng.integers(0, h, 20)
+        qx, qy = cx - px, cy - py
+        inside = (qx >= 0) & (qx < w) & (qy >= 0) & (qy < h)
+        xs = np.stack([px[inside], qx[inside]], axis=1).ravel()
+        ys = np.stack([py[inside], qy[inside]], axis=1).ravel()
+        if xs.size == 0:
+            xs, ys = px[:1], py[:1]
+    elif layout == "border":
+        corners_x, corners_y = np.array([0, w - 1, 0, w - 1]), np.array([0, 0, h - 1, h - 1])
+        n = int(rng.integers(0, 20))
+        along = rng.integers(0, 2, n).astype(bool)  # top/bottom rows or left/right columns
+        edge_x = np.where(along, rng.integers(0, w, n), rng.choice([0, w - 1], n))
+        edge_y = np.where(along, rng.choice([0, h - 1], n), rng.integers(0, h, n))
+        xs, ys = np.concatenate([corners_x, edge_x]), np.concatenate([corners_y, edge_y])
+    else:
+        xs, ys = rng.integers(0, w, 1), rng.integers(0, h, 1)
+    order = rng.permutation(xs.size)
+    xs, ys = xs[order], ys[order]
+    _, first = np.unique(ys * w + xs, return_index=True)
+    keep = np.sort(first)
+    mask_kind = draw(st.sampled_from(["none", "random", "empty"]))
+    mask = None
+    if mask_kind == "random":
+        mask = rng.random((h, w)) < rng.random()
+    elif mask_kind == "empty":
+        mask = np.zeros((h, w), dtype=bool)
+    return xs[keep], ys[keep], w, h, mask
+
+
+class TestTiledVoronoiLabel:
+    """The tiled labelling against exhaustive and per-seed-loop oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed_layouts(max_side=20), st.sampled_from([1, 3, 8, voronoi._TILE]))
+    def test_matches_exhaustive_oracle(self, layout, tile):
+        xs, ys, w, h, mask = layout
+        with mock.patch.object(voronoi, "_TILE", tile):
+            ours = voronoi_label(SeedSet(xs, ys, np.ones_like(xs)), w, h, mask)
+        oracle = nearest_seed_labels(list(zip(xs.tolist(), ys.tolist())), w, h, mask)
+        assert np.array_equal(ours.labels, oracle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed_layouts(max_side=100),
+        st.sampled_from([1, 3, 8, voronoi._TILE]),
+        st.sampled_from([1, 700, voronoi._BLOCK_CELLS]),
+    )
+    def test_matches_seed_loop_at_any_tile_and_budget(self, layout, tile, block_cells):
+        xs, ys, w, h, mask = layout
+        with mock.patch.object(voronoi, "_TILE", tile), mock.patch.object(voronoi, "_BLOCK_CELLS", block_cells):
+            ours = voronoi_label(SeedSet(xs, ys, np.ones_like(xs)), w, h, mask)
+        assert np.array_equal(ours.labels, voronoi_label_loop(xs, ys, w, h, mask))
+
+    @pytest.mark.parametrize("block_cells", [1, 3000])
+    def test_ring_makes_every_seed_a_candidate(self, monkeypatch, block_cells):
+        # seeds on a circle around the tile [32, 64)²: each is nearer to that
+        # tile's nearest point than any seed is to its farthest point
+        side, t = 96, voronoi._TILE
+        angles = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
+        xs = np.rint(47.5 + 44.0 * np.cos(angles)).astype(np.int64)
+        ys = np.rint(47.5 + 44.0 * np.sin(angles)).astype(np.int64)
+        _, first = np.unique(ys * side + xs, return_index=True)
+        xs, ys = xs[np.sort(first)], ys[np.sort(first)]
+        near = np.clip(xs, t, 2 * t - 1) - xs, np.clip(ys, t, 2 * t - 1) - ys
+        far = np.maximum(xs - t, 2 * t - 1 - xs), np.maximum(ys - t, 2 * t - 1 - ys)
+        d_near, d_far = near[0] ** 2 + near[1] ** 2, far[0] ** 2 + far[1] ** 2
+        assert (d_near <= d_far.min()).all() and xs.size > 200
+
+        seeds = SeedSet(xs, ys, np.ones_like(xs))
+        monkeypatch.setattr(voronoi, "_BLOCK_CELLS", block_cells)
+        tracemalloc.start()
+        try:
+            ours = voronoi_label(seeds, side, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ours.labels, voronoi_label_loop(xs, ys, side, side))
+        # one (candidate, pixel) int64 distance array for the whole ring would be
+        # xs.size * t * t * 8 bytes; the blocks keep far below that
+        assert peak < xs.size * t * t * 8 // 4
 
 
 class TestVoronoiPipeline:
