@@ -11,7 +11,30 @@ import math
 
 import numpy as np
 
-from .grids import LabelMap, ScalarGrid
+from .grids import LabelMap, ScalarGrid, _check_field
+
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _reach2(floor: float, amplitude: float, sigma: float, gt_radius2: float) -> float:
+    """Squared distance from a mound's center beyond which its term cannot
+    change a bit of any cell, or inf where that cannot be shown.
+
+    With ``amplitude >= 0`` no cell falls below ``floor``, the lowest noise
+    value, so a term under ``spacing(floor) / 2`` rounds away (round to
+    nearest).  The reach aims at ``t = spacing(floor) / 8``, leaving 4x
+    headroom for the rounding of ``exp`` and of the reach itself, and never
+    falls inside the ground-truth disk.
+    """
+    two_s2 = 2.0 * sigma**2
+    if amplitude < 0 or not floor > 0 or two_s2 < _TINY:
+        return math.inf
+    t = float(np.spacing(floor)) / 8.0
+    if amplitude <= t:  # no term exceeds the amplitude
+        return gt_radius2
+    if t / amplitude < _TINY:  # the cut-off would fall among subnormal exp values
+        return math.inf
+    return max(gt_radius2, two_s2 * (math.log(amplitude) - math.log(t)))
 
 
 def synth_pilefield(
@@ -28,9 +51,17 @@ def synth_pilefield(
 
     Mound supports (3 sigma disks) must stay inside the canvas and pairwise
     disjoint after jittering, otherwise the placement is rejected.
+
+    Each mound is summed only over the box of cells within its reach
+    (``_reach2``); the cells outside would not change by a bit, so the
+    result equals summing every mound over the whole frame.
     """
-    if rows < 1 or cols < 1 or n_bumps < 1 or bump_sigma <= 0:
-        raise ValueError("invalid pile-field geometry")
+    for name, value in (("rows", rows), ("cols", cols), ("n_bumps", n_bumps)):
+        _check_field(name, value, int, {"ge": 1})
+    _check_field("bump_sigma", bump_sigma, float, {"gt": 0, "lt": math.inf})
+    _check_field("rng_seed", rng_seed, int, {"ge": 0})
+    for name, value in (("bump_amplitude", bump_amplitude), ("noise_amplitude", noise_amplitude)):
+        _check_field(name, value, float, {"gt": -math.inf, "lt": math.inf})
     rng = np.random.default_rng(rng_seed)
 
     grid_rows = math.ceil(math.sqrt(n_bumps))
@@ -57,12 +88,22 @@ def synth_pilefield(
             if math.hypot(dy, dx) < 2.0 * support:
                 raise ValueError("bump supports overlap")
 
-    yy, xx = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    ys = np.arange(rows, dtype=np.float64)
+    xs = np.arange(cols, dtype=np.float64)
     dsm = rng.uniform(0.0, noise_amplitude, size=(rows, cols))
     gt = np.zeros((rows, cols), dtype=np.int32)
     gt_radius2 = (2.0 * bump_sigma) ** 2
+    reach2 = _reach2(float(dsm.min()), bump_amplitude, bump_sigma, gt_radius2)
     for i, (cy, cx) in enumerate(centers):
-        d2 = (yy - cy) ** 2 + (xx - cx) ** 2
-        dsm += bump_amplitude * np.exp(-d2 / (2.0 * bump_sigma**2))
-        gt[d2 <= gt_radius2] = i + 1
+        # outside the box, d2 >= max(dy2, dx2) > reach2
+        dy2 = (ys - cy) ** 2
+        dx2 = (xs - cx) ** 2
+        in_y = np.flatnonzero(dy2 <= reach2)
+        in_x = np.flatnonzero(dx2 <= reach2)
+        if in_y.size == 0 or in_x.size == 0:
+            continue
+        box = slice(in_y[0], in_y[-1] + 1), slice(in_x[0], in_x[-1] + 1)
+        d2 = dy2[box[0], None] + dx2[None, box[1]]
+        dsm[box] += bump_amplitude * np.exp(-d2 / (2.0 * bump_sigma**2))
+        gt[box][d2 <= gt_radius2] = i + 1
     return ScalarGrid(dsm, cellsize=1.0), LabelMap(gt)

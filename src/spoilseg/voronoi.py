@@ -146,10 +146,18 @@ def otsu_threshold(img: GrayImage) -> tuple[int, np.ndarray]:
     return t, img.values > t
 
 
+def _any_outside(seeds: SeedSet, height: int, width: int) -> bool:
+    """Whether a seed lies outside a ``height`` × ``width`` raster."""
+    xs, ys = seeds.xs, seeds.ys
+    return xs.size > 0 and bool(xs.min() < 0 or xs.max() >= width or ys.min() < 0 or ys.max() >= height)
+
+
 def filter_background_seeds(seeds: SeedSet, mask: np.ndarray) -> SeedSet:
-    """Keep only the seeds whose pixel is foreground in the mask."""
-    if seeds.xs.size == 0:
-        return seeds
+    """Keep only the seeds whose pixel is foreground in the mask (a 2-D bool
+    array covering every seed)."""
+    mask = np.asarray(mask)
+    if mask.ndim != 2 or mask.dtype != bool or _any_outside(seeds, *mask.shape):
+        raise ValueError("mask must be a 2-D bool array covering every seed")
     keep = mask[seeds.ys, seeds.xs]
     return SeedSet(seeds.xs[keep], seeds.ys[keep], seeds.intensities[keep])
 
@@ -168,7 +176,7 @@ def voronoi_label(
     """
     if len(seeds) == 0:
         raise ValueError("empty seed set")
-    if seeds.xs.min() < 0 or seeds.xs.max() >= width or seeds.ys.min() < 0 or seeds.ys.max() >= height:
+    if _any_outside(seeds, height, width):
         raise ValueError("seed coordinates out of bounds")
     if mask is not None:
         mask = np.asarray(mask)

@@ -373,3 +373,54 @@ def nearest_center_exhaustive(lab: np.ndarray, centers: np.ndarray, step: int, c
             d_xy2 = (centers[:, 3] - x) ** 2 + (centers[:, 4] - y) ** 2
             out[y, x] = int(np.argmin(d_lab2 + d_xy2 * (compactness / step) ** 2))
     return out
+
+
+def synth_pilefield_full(
+    rows: int,
+    cols: int,
+    n_bumps: int,
+    bump_sigma: float,
+    rng_seed: int,
+    *,
+    bump_amplitude: float = 1.0,
+    noise_amplitude: float = 0.08,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pile-field synthesis with every mound summed over the whole frame;
+    returns the raw (dsm, ground truth) arrays."""
+    if rows < 1 or cols < 1 or n_bumps < 1 or bump_sigma <= 0:
+        raise ValueError("invalid pile-field geometry")
+    rng = np.random.default_rng(rng_seed)
+
+    grid_rows = math.ceil(math.sqrt(n_bumps))
+    grid_cols = math.ceil(n_bumps / grid_rows)
+    spacing_y = rows / grid_rows
+    spacing_x = cols / grid_cols
+    jitter = min(spacing_y, spacing_x) / 8.0
+
+    centers = []
+    for i in range(n_bumps):
+        gy, gx = divmod(i, grid_cols)
+        cy = (gy + 0.5) * spacing_y + rng.uniform(-jitter, jitter)
+        cx = (gx + 0.5) * spacing_x + rng.uniform(-jitter, jitter)
+        centers.append((cy, cx))
+
+    support = 3.0 * bump_sigma
+    for cy, cx in centers:
+        if cy < support or cy > rows - 1 - support or cx < support or cx > cols - 1 - support:
+            raise ValueError("bump support falls outside the canvas")
+    for i in range(n_bumps):
+        for j in range(i + 1, n_bumps):
+            dy = centers[i][0] - centers[j][0]
+            dx = centers[i][1] - centers[j][1]
+            if math.hypot(dy, dx) < 2.0 * support:
+                raise ValueError("bump supports overlap")
+
+    yy, xx = np.mgrid[0:rows, 0:cols].astype(np.float64)
+    dsm = rng.uniform(0.0, noise_amplitude, size=(rows, cols))
+    gt = np.zeros((rows, cols), dtype=np.int32)
+    gt_radius2 = (2.0 * bump_sigma) ** 2
+    for i, (cy, cx) in enumerate(centers):
+        d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+        dsm += bump_amplitude * np.exp(-d2 / (2.0 * bump_sigma**2))
+        gt[d2 <= gt_radius2] = i + 1
+    return dsm, gt

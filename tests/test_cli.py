@@ -55,6 +55,15 @@ class TestSynthAndHillshade:
         assert read_pgm16(gt).region_count() == 4
         assert read_gray_pgm16(stretched).values.max() > 200
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--rows", "0", "rows must be >= 1, got 0"), ("--seed", "-1", "rng_seed must be >= 0, got -1")],
+    )
+    def test_synth_bad_argument(self, tmp_path, capsys, option, value, message):
+        argv = ["synth", option, value, "--dsm", str(tmp_path / "d.asc"), "--gt", str(tmp_path / "g.pgm")]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+
     def test_hillshade_pgm_and_asc(self, synth_files, tmp_path):
         dsm, _, _ = synth_files
         out_pgm = tmp_path / "shade.pgm"

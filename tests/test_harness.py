@@ -1,9 +1,15 @@
 """Sweep runner, report emission, mask ingestion and the synthetic fixture."""
 
+import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import synth_pilefield_full
 
 from spoilseg import (
     ExternalMaskMetadata,
@@ -300,3 +306,79 @@ class TestSynthPilefield:
         sizes = list(gt.region_sizes().values())
         disk_area = np.pi * 16.0**2
         assert all(abs(s - disk_area) < 0.05 * disk_area for s in sizes)
+
+    def test_acceptance_fixture_frozen(self):
+        # digests of the full-frame synthesis, so the window and its oracle cannot drift together
+        dsm, gt = synth_pilefield(300, 300, 9, 8.0, 42)
+        assert hashlib.sha256(dsm.values.astype("<f8").tobytes()).hexdigest() == (
+            "78c21c577c5fd43086c201e8dd7c62979c9480051ba3a6c357cb8f9a462b6269"
+        )
+        assert hashlib.sha256(gt.labels.astype("<i4").tobytes()).hexdigest() == (
+            "ba65a3e71f3263e28a84e96d4230141ad40b74f21c427c8a2db5bf64b98b6587"
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(10, 60),
+        cols=st.integers(10, 60),
+        n_bumps=st.integers(1, 9),
+        sigma=st.floats(0.5, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+        amplitude=st.sampled_from([0.0, 1e-12, 1.0, 1e3, -1.0]),
+        noise=st.sampled_from([0.0, 1e-300, 0.08, 50.0, -0.08]),
+    )
+    # two fields where a cut-off at spacing(floor) or 2 * spacing(floor) changes bits
+    @example(rows=47, cols=60, n_bumps=1, sigma=5.0, seed=660, amplitude=1e-12, noise=0.08)
+    @example(rows=48, cols=54, n_bumps=7, sigma=1.5, seed=43, amplitude=1e3, noise=0.08)
+    # a reach under half a cell: the box can be empty
+    @example(rows=10, cols=12, n_bumps=1, sigma=0.01, seed=0, amplitude=1.0, noise=0.08)
+    # 2 sigma^2 subnormal: the full frame's divide overflows, a warning raised as an error here
+    @example(rows=10, cols=12, n_bumps=1, sigma=1e-160, seed=3, amplitude=1.0, noise=0.08)
+    def test_bit_identical_to_full_frame(self, rows, cols, n_bumps, sigma, seed, amplitude, noise):
+        args = (rows, cols, n_bumps, sigma, seed)
+        kwargs = {"bump_amplitude": amplitude, "noise_amplitude": noise}
+        try:
+            full_dsm, full_gt = synth_pilefield_full(*args, **kwargs)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                synth_pilefield(*args, **kwargs)
+            return
+        dsm, gt = synth_pilefield(*args, **kwargs)
+        assert np.array_equal(dsm.values.view(np.int64), full_dsm.view(np.int64))
+        assert np.array_equal(gt.labels, full_gt)
+
+    def test_benchmark_field_bit_identical_to_full_frame(self):
+        dsm, gt = synth_pilefield(1000, 1000, 64, 12.0, 1)
+        full_dsm, full_gt = synth_pilefield_full(1000, 1000, 64, 12.0, 1)
+        assert np.array_equal(dsm.values.view(np.int64), full_dsm.view(np.int64))
+        assert np.array_equal(gt.labels, full_gt)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_bumps": True}, "n_bumps must be an integer, got True"),  # ran as one mound
+            ({"rows": 100.0}, "rows must be an integer, got 100.0"),  # a TypeError from range()
+            ({"bump_sigma": math.nan}, "bump_sigma must be > 0, got nan"),  # failed late in ScalarGrid
+            ({"rng_seed": -1}, "rng_seed must be >= 0, got -1"),  # numpy's own message
+            ({"rows": 0}, "rows must be >= 1, got 0"),
+            ({"cols": -3}, "cols must be >= 1, got -3"),
+            ({"n_bumps": 0}, "n_bumps must be >= 1, got 0"),
+            ({"bump_sigma": 0.0}, "bump_sigma must be > 0, got 0.0"),
+            ({"bump_sigma": math.inf}, "bump_sigma must be < inf, got inf"),
+            ({"bump_sigma": "8"}, "bump_sigma must be a number, got '8'"),
+            ({"rng_seed": 1.5}, "rng_seed must be an integer, got 1.5"),
+            ({"bump_amplitude": math.nan}, "bump_amplitude must be > -inf, got nan"),
+            ({"bump_amplitude": math.inf}, "bump_amplitude must be < inf, got inf"),
+            ({"noise_amplitude": -math.inf}, "noise_amplitude must be > -inf, got -inf"),
+            ({"noise_amplitude": True}, "noise_amplitude must be a number, got True"),
+        ],
+    )
+    def test_argument_contract(self, change, message):
+        args = {"rows": 100, "cols": 100, "n_bumps": 1, "bump_sigma": 8.0, "rng_seed": 0} | change
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synth_pilefield(*[args.pop(k) for k in ("rows", "cols", "n_bumps", "bump_sigma", "rng_seed")], **args)
+
+    def test_numpy_integers_and_integer_sigma_accepted(self):
+        dsm, gt = synth_pilefield(np.int64(100), 100, np.int32(1), 8, np.uint8(0))
+        ref_dsm, ref_gt = synth_pilefield(100, 100, 1, 8.0, 0)
+        assert np.array_equal(dsm.values, ref_dsm.values) and np.array_equal(gt.labels, ref_gt.labels)

@@ -196,6 +196,20 @@ class TestFilterBackgroundSeeds:
         out = filter_background_seeds(self.seeds, mask)
         assert out.xs.tolist() == [1, 5]
 
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [
+            ((10, 10), np.uint8),  # 0/1 values used as indices: "duplicate seed coordinates"
+            ((4, 4), bool),  # misses seed (9, 5): a bare IndexError
+            ((10, 10, 1), bool),  # 3-D: a bare IndexError
+        ],
+        ids=["uint8", "too-small", "3-D"],
+    )
+    def test_non_bool_non_2d_or_uncovering_mask_rejected(self, shape, dtype):
+        seeds = SeedSet(np.array([0, 9]), np.array([0, 5]), np.array([1, 1]))
+        with pytest.raises(ValueError, match="mask must be a 2-D bool array covering every seed"):
+            filter_background_seeds(seeds, np.ones(shape, dtype=dtype))
+
 
 class TestSeedSet:
     @pytest.mark.parametrize(
