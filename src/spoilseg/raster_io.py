@@ -14,7 +14,9 @@ netpbm formats.
 
 from __future__ import annotations
 
+import io
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -141,25 +143,8 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
-    """Read an ESRI ASCII grid (header keys case-insensitive, top row first)."""
-    lines = Path(path).read_text().splitlines()
-    header: dict[str, str] = {}
-    row_lines: list[list[str]] = []
-    for line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        if not row_lines and not _is_number(parts[0]):
-            if len(parts) != 2:
-                raise FormatError(f"malformed header line: {line!r}")
-            key = parts[0].lower()
-            if key in header:
-                raise FormatError(f"duplicate header key {key}")
-            header[key] = parts[1]
-        else:
-            row_lines.append(parts)
-
+def _asc_shape(header: dict[str, str]) -> tuple[int, int, float, float | None]:
+    """The (nrows, ncols, cellsize, nodata) a finished header declares."""
     for key in _ASC_REQUIRED:
         if key not in header:
             raise FormatError(f"missing header key {key}")
@@ -172,21 +157,72 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
         nodata = float(header["nodata_value"]) if "nodata_value" in header else None
     except ValueError:
         raise FormatError("non-numeric header value") from None
+    return nrows, ncols, cellsize, nodata
 
-    if len(row_lines) != nrows:
-        raise FormatError(f"expected {nrows} data rows, got {len(row_lines)}")
-    # the rows must carry the declared shape before it is allocated
-    for r, parts in enumerate(row_lines):
-        if len(parts) != ncols:
-            raise FormatError(f"row {r} has {len(parts)} tokens, expected {ncols}")
+
+def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
+    """Read an ESRI ASCII grid (header keys case-insensitive, top row first).
+
+    Rows stream from the file into one preallocated array.  Lines end where
+    ``str.splitlines`` ends them, and the header ends at the first line that
+    starts with a number.  On a file with several faults the error raised is
+    the first of: a malformed or duplicate header line, a missing key, a
+    non-numeric header value, the row count, the first ragged row, a shape
+    below 1x1, the first non-numeric row, the grid's own value check.
+    """
+    header: dict[str, str] = {}
+    shape = None  # set when the first data row closes the header
+    values = None
+    rows = 0
+    ragged: tuple[int, int] | None = None  # (row, tokens) of the first ragged row
+    bad_row: int | None = None  # first row with a non-numeric token
+    with open(path) as stream:
+        info = os.fstat(stream.fileno())
+        text = stream
+        size = info.st_size  # bytes, at least one per character
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size: hold its text to measure it
+            text = io.StringIO(stream.read())
+            size = len(text.getvalue())
+        max_cells = (size + 1) // 2  # tokens need one character each, one between any two
+        for line in (part for physical in text for part in physical.splitlines()):
+            parts = line.split()
+            if not parts:
+                continue
+            if shape is None:
+                if not _is_number(parts[0]):
+                    if len(parts) != 2:
+                        raise FormatError(f"malformed header line: {line!r}")
+                    key = parts[0].lower()
+                    if key in header:
+                        raise FormatError(f"duplicate header key {key}")
+                    header[key] = parts[1]
+                    continue
+                shape = _asc_shape(header)
+                nrows, ncols = shape[:2]
+                # a shape the file cannot hold fails the row or token count below
+                if 1 <= nrows and 1 <= ncols and nrows * ncols <= max_cells:
+                    values = np.empty((nrows, ncols), dtype=np.float64)
+            r = rows
+            rows += 1
+            if ragged is not None:  # only the row count can still win
+                continue
+            if len(parts) != ncols:
+                ragged = (r, len(parts))
+            elif bad_row is None and values is not None and r < nrows:
+                try:
+                    values[r] = list(map(float, parts))
+                except ValueError:
+                    bad_row = r
+
+    nrows, ncols, cellsize, nodata = shape if shape is not None else _asc_shape(header)
+    if rows != nrows:
+        raise FormatError(f"expected {nrows} data rows, got {rows}")
+    if ragged is not None:
+        raise FormatError(f"row {ragged[0]} has {ragged[1]} tokens, expected {ncols}")
     if nrows < 1 or ncols < 1:
         raise FormatError(f"grid must be at least 1x1, header declares {ncols}x{nrows}")
-    values = np.empty((nrows, ncols), dtype=np.float64)
-    for r, parts in enumerate(row_lines):
-        try:
-            values[r] = [float(tok) for tok in parts]
-        except ValueError:
-            raise FormatError(f"non-numeric token in row {r}") from None
+    if bad_row is not None:
+        raise FormatError(f"non-numeric token in row {bad_row}")
     try:
         return ScalarGrid(values, cellsize=cellsize, nodata=nodata)
     except ValueError as exc:
@@ -194,10 +230,11 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
 
 
 def write_asc_grid(grid: ScalarGrid, path: str | os.PathLike) -> None:
-    """Write an ESRI ASCII grid; float values use shortest round-trip notation."""
+    """Write an ESRI ASCII grid row by row; float values use shortest
+    round-trip notation."""
     if grid.cellsize is None:
         raise FormatError("grid has no cellsize")
-    out = [
+    header = [
         f"ncols {grid.width}",
         f"nrows {grid.height}",
         "xllcorner 0.0",
@@ -205,7 +242,8 @@ def write_asc_grid(grid: ScalarGrid, path: str | os.PathLike) -> None:
         f"cellsize {grid.cellsize!r}",
     ]
     if grid.nodata is not None:
-        out.append(f"NODATA_value {float(grid.nodata)!r}")
-    for row in grid.values:
-        out.append(" ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(out) + "\n")
+        header.append(f"NODATA_value {float(grid.nodata)!r}")
+    with open(path, "w") as f:
+        f.write("\n".join(header) + "\n")
+        for row in grid.values:
+            f.write(" ".join(map(repr, row.tolist())) + "\n")

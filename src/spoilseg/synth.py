@@ -50,7 +50,9 @@ def synth_pilefield(
     """Generate (dsm, ground_truth) with ``n_bumps`` well-separated mounds.
 
     Mound supports (3 sigma disks) must stay inside the canvas and pairwise
-    disjoint after jittering, otherwise the placement is rejected.
+    disjoint after jittering, otherwise the placement is rejected.  A
+    ``bump_sigma`` so small that a mound's ground-truth disk holds no cell
+    center is rejected too.
 
     Each mound is summed only over the box of cells within its reach
     (``_reach2``); the cells outside would not change by a bit, so the
@@ -60,8 +62,8 @@ def synth_pilefield(
         _check_field(name, value, int, {"ge": 1})
     _check_field("bump_sigma", bump_sigma, float, {"gt": 0, "lt": math.inf})
     _check_field("rng_seed", rng_seed, int, {"ge": 0})
-    for name, value in (("bump_amplitude", bump_amplitude), ("noise_amplitude", noise_amplitude)):
-        _check_field(name, value, float, {"gt": -math.inf, "lt": math.inf})
+    _check_field("bump_amplitude", bump_amplitude, float, {"gt": -math.inf, "lt": math.inf})
+    _check_field("noise_amplitude", noise_amplitude, float, {"ge": 0, "lt": math.inf})
     rng = np.random.default_rng(rng_seed)
 
     grid_rows = math.ceil(math.sqrt(n_bumps))
@@ -100,10 +102,14 @@ def synth_pilefield(
         dx2 = (xs - cx) ** 2
         in_y = np.flatnonzero(dy2 <= reach2)
         in_x = np.flatnonzero(dx2 <= reach2)
-        if in_y.size == 0 or in_x.size == 0:
-            continue
-        box = slice(in_y[0], in_y[-1] + 1), slice(in_x[0], in_x[-1] + 1)
-        d2 = dy2[box[0], None] + dx2[None, box[1]]
-        dsm[box] += bump_amplitude * np.exp(-d2 / (2.0 * bump_sigma**2))
-        gt[box][d2 <= gt_radius2] = i + 1
+        labelled = 0  # the reach covers the ground-truth disk, so an empty box labels nothing
+        if in_y.size and in_x.size:
+            box = slice(in_y[0], in_y[-1] + 1), slice(in_x[0], in_x[-1] + 1)
+            d2 = dy2[box[0], None] + dx2[None, box[1]]
+            dsm[box] += bump_amplitude * np.exp(-d2 / (2.0 * bump_sigma**2))
+            inside = d2 <= gt_radius2
+            gt[box][inside] = i + 1
+            labelled = np.count_nonzero(inside)
+        if not labelled:
+            raise ValueError(f"bump_sigma {bump_sigma!r} is too small: mound {i + 1} covers no cell")
     return ScalarGrid(dsm, cellsize=1.0), LabelMap(gt)

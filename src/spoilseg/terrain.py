@@ -18,6 +18,8 @@ from .grids import GrayImage, ScalarGrid, _check_params, _param
 
 # sentinel used when the input nodata value would collide with the [0,1] output range
 _SAFE_NODATA = -9999.0
+# rows shaded at a time: the band's temporaries stay small next to the output
+_BAND = 64
 
 
 @dataclass
@@ -49,6 +51,9 @@ def hillshade(dsm: ScalarGrid, params: HillshadeParams | None = None) -> ScalarG
     Gradients are central differences over the eight neighbours weighted
     1-2-1 and divided by 8 x cellsize; borders replicate the edge row/column.
     Cells whose 3x3 window touches nodata become nodata in the output.
+    The grid is shaded in bands of ``_BAND`` rows, each read with one row of
+    its neighbours above and below, so every cell sees the same window as in
+    one whole-grid pass.
     """
     p = params if params is not None else HillshadeParams()
     if dsm.height < 3 or dsm.width < 3:
@@ -56,27 +61,36 @@ def hillshade(dsm: ScalarGrid, params: HillshadeParams | None = None) -> ScalarG
     if dsm.cellsize is None:
         raise ValueError("hillshade needs the grid cellsize")
 
-    z = np.pad(dsm.values, 1, mode="edge")
-    a, b, c = z[:-2, :-2], z[:-2, 1:-1], z[:-2, 2:]
-    d, f = z[1:-1, :-2], z[1:-1, 2:]
-    g, h, i = z[2:, :-2], z[2:, 1:-1], z[2:, 2:]
+    height = dsm.height
     denom = 8.0 * dsm.cellsize
-    dzdx = ((c + 2.0 * f + i) - (a + 2.0 * d + g)) / denom
-    dzdy = ((g + 2.0 * h + i) - (a + 2.0 * b + c)) / denom
-
-    slope = np.arctan(p.z_factor * np.hypot(dzdx, dzdy))
-    aspect = np.arctan2(dzdy, -dzdx)
     zenith = math.radians(90.0 - p.altitude)
     az_math = math.radians((360.0 - p.azimuth + 90.0) % 360.0)
-    shade = math.cos(zenith) * np.cos(slope) + math.sin(zenith) * np.sin(slope) * np.cos(
-        az_math - aspect
-    )
-    shade = np.maximum(shade, 0.0)
+    shade = np.empty(dsm.values.shape, dtype=np.float64)
+    for top in range(0, height, _BAND):
+        bottom = min(top + _BAND, height)
+        # the band plus its halo rows; edge rows repeat only at the frame's top and bottom
+        z = np.pad(
+            dsm.values[max(top - 1, 0) : bottom + 1],
+            ((int(top == 0), int(bottom == height)), (1, 1)),
+            mode="edge",
+        )
+        a, b, c = z[:-2, :-2], z[:-2, 1:-1], z[:-2, 2:]
+        d, f = z[1:-1, :-2], z[1:-1, 2:]
+        g, h, i = z[2:, :-2], z[2:, 1:-1], z[2:, 2:]
+        dzdx = ((c + 2.0 * f + i) - (a + 2.0 * d + g)) / denom
+        dzdy = ((g + 2.0 * h + i) - (a + 2.0 * b + c)) / denom
+
+        slope = np.arctan(p.z_factor * np.hypot(dzdx, dzdy))
+        aspect = np.arctan2(dzdy, -dzdx)
+        band = shade[top:bottom]
+        np.multiply(math.cos(zenith), np.cos(slope), out=band)
+        band += math.sin(zenith) * np.sin(slope) * np.cos(az_math - aspect)
+        np.maximum(band, 0.0, out=band)
 
     out_nodata = _output_nodata(dsm.nodata)
     if dsm.nodata is not None:
         touched = ndimage.maximum_filter(dsm.nodata_mask.astype(np.uint8), size=3, mode="nearest")
-        shade = np.where(touched > 0, out_nodata, shade)
+        shade[touched > 0] = out_nodata
     return ScalarGrid(shade, cellsize=dsm.cellsize, nodata=out_nodata)
 
 
@@ -89,24 +103,31 @@ def sigmoidal_stretch(grid: ScalarGrid, params: StretchParams | None = None) -> 
     """
     p = params if params is not None else StretchParams()
     mask = grid.nodata_mask
-    data = grid.values[~mask]
-    if data.size == 0:
+    if mask.all():
         raise ValueError("grid holds no data values")
-    lo, hi = data.min(), data.max()
+    lo = np.min(grid.values, where=~mask, initial=np.inf)
+    hi = np.max(grid.values, where=~mask, initial=-np.inf)
     if lo == hi:
         raise ValueError("constant grid: min-max normalisation undefined")
 
     k = p.strength * p.scale
-    values = np.where(mask, lo, grid.values)  # keep the sigmoid off the sentinel
-    x = (values - lo) / (hi - lo)
-    s = 1.0 / (1.0 + np.exp(-k * (x - 0.5)))
     s0 = 1.0 / (1.0 + math.exp(k * 0.5))
     s1 = 1.0 / (1.0 + math.exp(-k * 0.5))
-    y = (s - s0) / (s1 - s0)
+    # one array, taken through the stretch in place, operation by operation
+    y = np.where(mask, lo, grid.values)  # keep the sigmoid off the sentinel
+    y -= lo
+    y /= hi - lo
+    y -= 0.5
+    y *= -k
+    np.exp(y, out=y)
+    y += 1.0
+    np.divide(1.0, y, out=y)
+    y -= s0
+    y /= s1 - s0
 
     out_nodata = _output_nodata(grid.nodata)
     if grid.nodata is not None:
-        y = np.where(mask, out_nodata, y)
+        y[mask] = out_nodata
     return ScalarGrid(y, cellsize=grid.cellsize, nodata=out_nodata)
 
 

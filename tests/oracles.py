@@ -424,3 +424,140 @@ def synth_pilefield_full(
         dsm += bump_amplitude * np.exp(-d2 / (2.0 * bump_sigma**2))
         gt[d2 <= gt_radius2] = i + 1
     return dsm, gt
+
+
+class AscFormatError(ValueError):
+    """A format fault found by ``read_asc_whole``."""
+
+
+def read_asc_whole(path) -> tuple[np.ndarray, float, float | None]:
+    """ESRI ASCII grid reader over the whole text and one token list per row.
+
+    Returns the raw (values, cellsize, nodata) before any check of the values
+    themselves, or raises ``AscFormatError`` for the first fault in the order
+    the format documents.
+    """
+    with open(path) as f:
+        lines = f.read().splitlines()
+    header: dict[str, str] = {}
+    row_lines: list[list[str]] = []
+    for line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            float(parts[0])
+            numeric = True
+        except ValueError:
+            numeric = False
+        if not row_lines and not numeric:
+            if len(parts) != 2:
+                raise AscFormatError(f"malformed header line: {line!r}")
+            key = parts[0].lower()
+            if key in header:
+                raise AscFormatError(f"duplicate header key {key}")
+            header[key] = parts[1]
+        else:
+            row_lines.append(parts)
+
+    for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+        if key not in header:
+            raise AscFormatError(f"missing header key {key}")
+    try:
+        ncols = int(header["ncols"])
+        nrows = int(header["nrows"])
+        float(header["xllcorner"])
+        float(header["yllcorner"])
+        cellsize = float(header["cellsize"])
+        nodata = float(header["nodata_value"]) if "nodata_value" in header else None
+    except ValueError:
+        raise AscFormatError("non-numeric header value") from None
+
+    if len(row_lines) != nrows:
+        raise AscFormatError(f"expected {nrows} data rows, got {len(row_lines)}")
+    for r, parts in enumerate(row_lines):
+        if len(parts) != ncols:
+            raise AscFormatError(f"row {r} has {len(parts)} tokens, expected {ncols}")
+    if nrows < 1 or ncols < 1:
+        raise AscFormatError(f"grid must be at least 1x1, header declares {ncols}x{nrows}")
+    values = np.empty((nrows, ncols), dtype=np.float64)
+    for r, parts in enumerate(row_lines):
+        try:
+            values[r] = [float(tok) for tok in parts]
+        except ValueError:
+            raise AscFormatError(f"non-numeric token in row {r}") from None
+    return values, cellsize, nodata
+
+
+def _terrain_nodata(nodata: float | None) -> float | None:
+    """Output sentinel of the terrain stages: one inside [0, 1] moves to -9999."""
+    if nodata is None:
+        return None
+    return -9999.0 if 0.0 <= nodata <= 1.0 else nodata
+
+
+def hillshade_whole(
+    values: np.ndarray,
+    cellsize: float,
+    nodata: float | None,
+    azimuth: float,
+    altitude: float,
+    z_factor: float,
+) -> tuple[np.ndarray, float | None]:
+    """Horn hillshade over the whole edge-padded grid at once; cells whose
+    3x3 window touches nodata become the output sentinel.  Returns (shade,
+    output nodata)."""
+    z = np.pad(values, 1, mode="edge")
+    a, b, c = z[:-2, :-2], z[:-2, 1:-1], z[:-2, 2:]
+    d, f = z[1:-1, :-2], z[1:-1, 2:]
+    g, h, i = z[2:, :-2], z[2:, 1:-1], z[2:, 2:]
+    denom = 8.0 * cellsize
+    dzdx = ((c + 2.0 * f + i) - (a + 2.0 * d + g)) / denom
+    dzdy = ((g + 2.0 * h + i) - (a + 2.0 * b + c)) / denom
+
+    slope = np.arctan(z_factor * np.hypot(dzdx, dzdy))
+    aspect = np.arctan2(dzdy, -dzdx)
+    zenith = math.radians(90.0 - altitude)
+    az_math = math.radians((360.0 - azimuth + 90.0) % 360.0)
+    shade = math.cos(zenith) * np.cos(slope) + math.sin(zenith) * np.sin(slope) * np.cos(
+        az_math - aspect
+    )
+    shade = np.maximum(shade, 0.0)
+
+    out_nodata = _terrain_nodata(nodata)
+    if nodata is not None:
+        m = np.pad(values == nodata, 1, mode="edge")
+        height, width = values.shape
+        touched = np.zeros(values.shape, dtype=bool)
+        for dy in range(3):
+            for dx in range(3):
+                touched |= m[dy : dy + height, dx : dx + width]
+        shade = np.where(touched, out_nodata, shade)
+    return shade, out_nodata
+
+
+def sigmoidal_stretch_copies(
+    values: np.ndarray, nodata: float | None, strength: float, scale: float
+) -> tuple[np.ndarray, float | None]:
+    """Logistic contrast stretch with a fresh array per operation; returns
+    (stretched, output nodata)."""
+    mask = values == nodata if nodata is not None else np.zeros(values.shape, dtype=bool)
+    data = values[~mask]
+    if data.size == 0:
+        raise ValueError("grid holds no data values")
+    lo, hi = data.min(), data.max()
+    if lo == hi:
+        raise ValueError("constant grid: min-max normalisation undefined")
+
+    k = strength * scale
+    kept = np.where(mask, lo, values)
+    x = (kept - lo) / (hi - lo)
+    s = 1.0 / (1.0 + np.exp(-k * (x - 0.5)))
+    s0 = 1.0 / (1.0 + math.exp(k * 0.5))
+    s1 = 1.0 / (1.0 + math.exp(-k * 0.5))
+    y = (s - s0) / (s1 - s0)
+
+    out_nodata = _terrain_nodata(nodata)
+    if nodata is not None:
+        y = np.where(mask, out_nodata, y)
+    return y, out_nodata

@@ -330,17 +330,25 @@ class TestSynthPilefield:
     # two fields where a cut-off at spacing(floor) or 2 * spacing(floor) changes bits
     @example(rows=47, cols=60, n_bumps=1, sigma=5.0, seed=660, amplitude=1e-12, noise=0.08)
     @example(rows=48, cols=54, n_bumps=7, sigma=1.5, seed=43, amplitude=1e3, noise=0.08)
-    # a reach under half a cell: the box can be empty
+    # a reach under half a cell: the box can be empty, and the mound is refused
     @example(rows=10, cols=12, n_bumps=1, sigma=0.01, seed=0, amplitude=1.0, noise=0.08)
     # 2 sigma^2 subnormal: the full frame's divide overflows, a warning raised as an error here
     @example(rows=10, cols=12, n_bumps=1, sigma=1e-160, seed=3, amplitude=1.0, noise=0.08)
     def test_bit_identical_to_full_frame(self, rows, cols, n_bumps, sigma, seed, amplitude, noise):
         args = (rows, cols, n_bumps, sigma, seed)
         kwargs = {"bump_amplitude": amplitude, "noise_amplitude": noise}
+        if noise < 0:  # refused before any drawing; the full frame fails inside numpy
+            with pytest.raises(ValueError, match="^noise_amplitude must be >= 0"):
+                synth_pilefield(*args, **kwargs)
+            return
         try:
             full_dsm, full_gt = synth_pilefield_full(*args, **kwargs)
         except Exception as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                synth_pilefield(*args, **kwargs)
+            return
+        if np.unique(full_gt[full_gt > 0]).size < n_bumps:  # a mound whose disk holds no cell
+            with pytest.raises(ValueError, match=r"^bump_sigma \S+ is too small: mound \d+ covers no cell$"):
                 synth_pilefield(*args, **kwargs)
             return
         dsm, gt = synth_pilefield(*args, **kwargs)
@@ -369,8 +377,10 @@ class TestSynthPilefield:
             ({"rng_seed": 1.5}, "rng_seed must be an integer, got 1.5"),
             ({"bump_amplitude": math.nan}, "bump_amplitude must be > -inf, got nan"),
             ({"bump_amplitude": math.inf}, "bump_amplitude must be < inf, got inf"),
-            ({"noise_amplitude": -math.inf}, "noise_amplitude must be > -inf, got -inf"),
+            ({"noise_amplitude": -math.inf}, "noise_amplitude must be >= 0, got -inf"),
             ({"noise_amplitude": True}, "noise_amplitude must be a number, got True"),
+            ({"noise_amplitude": -0.08}, "noise_amplitude must be >= 0, got -0.08"),  # numpy's high - low < 0
+            ({"bump_sigma": 0.1, "n_bumps": 4}, "bump_sigma 0.1 is too small: mound 1 covers no cell"),
         ],
     )
     def test_argument_contract(self, change, message):

@@ -1,11 +1,14 @@
 """Format readers/writers: worked examples, error reporting, round-trips."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import flood_fill_components
+from oracles import AscFormatError, flood_fill_components, read_asc_whole
 from spoilseg import (
     FormatError,
     GrayImage,
@@ -22,6 +25,39 @@ from spoilseg import (
     write_pgm16,
     write_ppm,
 )
+
+
+# line ends str.splitlines honours, and cells that reach every branch of float()
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_CELLS = ["0", "1.5", "-2", "1e-320", "1_0", "\u0663", "nan", "-inf", "1e400", "oops", "0x10", "1__0"]
+_HEADER_VALUES = ["0", "1", "2", "-1", "0.5", "1_0", "nan", "inf", "abc", str(10**12)]
+
+
+@st.composite
+def asc_texts(draw) -> str:
+    """ASC-like text: a header with optional faults, then rows that may be
+    too few, too many, ragged or non-numeric, joined by any line end."""
+    ncols, nrows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    header = {"ncols": str(ncols), "nrows": str(nrows), "xllcorner": "0", "yllcorner": "0", "cellsize": "1"}
+    if draw(st.booleans()):
+        header["NODATA_value"] = draw(st.sampled_from(["-9999", "0.5", "nan", "x"]))
+    for key in draw(st.lists(st.sampled_from(sorted(header)), max_size=2)):
+        if draw(st.booleans()):
+            header.pop(key, None)
+        else:
+            header[key] = draw(st.sampled_from(_HEADER_VALUES))
+    lines = [f"{k} {v}" for k, v in header.items()]
+    lines = draw(st.permutations(lines))
+    rows = [
+        " ".join(draw(st.lists(st.sampled_from(_CELLS[:6] * 10 + _CELLS[6:]), min_size=ncols, max_size=ncols)))
+        for _ in range(nrows + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    ]
+    lines += rows
+    spoilers = ["", "  ", "ncols 3", "nrows", "cellsize 1 2", "1 2 3 4 5", " ".join(_CELLS[6:])]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(spoilers)))
+    text = "".join(line + draw(st.sampled_from(_LINE_ENDS)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip()
 
 
 class TestPpm:
@@ -242,6 +278,73 @@ class TestAscGrid:
         assert np.array_equal(back.values, grid.values)
         assert back.cellsize == grid.cellsize
         assert back.nodata == grid.nodata
+
+    def test_writer_text(self, tmp_path):
+        grid = ScalarGrid(np.array([[0.1, -2.0], [1e-300, 5.0]]), cellsize=0.25, nodata=5.0)
+        path = tmp_path / "w.asc"
+        write_asc_grid(grid, path)
+        assert path.read_bytes() == (
+            b"ncols 2\nnrows 2\nxllcorner 0.0\nyllcorner 0.0\ncellsize 0.25\nNODATA_value 5.0\n"
+            b"0.1 -2.0\n1e-300 5.0\n"
+        )
+
+    @settings(
+        max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(text=asc_texts())
+    def test_matches_whole_text_oracle(self, tmp_path, text):
+        path = tmp_path / "any.asc"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            values, cellsize, nodata = read_asc_whole(path)
+            expected = ScalarGrid(values, cellsize=cellsize, nodata=nodata)
+        except UnicodeDecodeError:  # text the locale cannot decode: any ValueError will do
+            with pytest.raises(ValueError):
+                read_asc_grid(path)
+            return
+        except (AscFormatError, ValueError) as exc:
+            with pytest.raises(FormatError) as info:
+                read_asc_grid(path)
+            assert type(info.value) is FormatError and str(info.value) == str(exc)
+            return
+        got = read_asc_grid(path)
+        assert np.array_equal(got.values.view(np.int64), expected.values.view(np.int64))
+        assert repr((got.cellsize, got.nodata)) == repr((expected.cellsize, expected.nodata))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("ncols 2\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n4 x\n", "expected 3 data rows, got 2"),
+            ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 x\n4 5 6\n", "row 1 has 3 tokens"),
+            ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\ncellsize 3\n", "non-numeric token in row 1"),
+            ("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 inf\n", "must be finite"),
+            ("ncols 0\nnrows 0\nxllcorner 0\nyllcorner 0\ncellsize 1\n", "at least 1x1"),
+        ],
+        ids=["rows-before-tokens", "ragged-before-non-numeric", "header-after-data", "finite", "empty"],
+    )
+    def test_first_fault_wins(self, tmp_path, body, message):
+        path = tmp_path / "faults.asc"
+        path.write_text(body)
+        with pytest.raises(FormatError, match=message):
+            read_asc_grid(path)
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        path = tmp_path / "pipe.asc"
+        os.mkfifo(path)
+        text = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1.5 2.5\n"
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            assert read_asc_grid(path).values.tolist() == [[1.5, 2.5]]
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "bytes.asc"
+        path.write_bytes(b"ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n\xff\xfe\n")
+        with pytest.raises(ValueError):
+            read_asc_grid(path)
 
 
 class TestRelabelConnected:

@@ -1,12 +1,15 @@
 """Hillshade, sigmoid stretch and 8-bit quantisation."""
 
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hillshade_whole, sigmoidal_stretch_copies
 from spoilseg import (
     GrayImage,
     HillshadeParams,
@@ -15,6 +18,7 @@ from spoilseg import (
     hillshade,
     quantize8,
     sigmoidal_stretch,
+    terrain,
 )
 
 SIN45 = math.sin(math.radians(45.0))
@@ -85,6 +89,32 @@ class TestHillshade:
         with pytest.raises(ValueError, match="cellsize"):
             hillshade(ScalarGrid(np.zeros((4, 4)), cellsize=None))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h=st.integers(3, 70),
+        w=st.integers(3, 70),
+        band=st.sampled_from([1, 2, 3, terrain._BAND]),
+        seed=st.integers(0, 2**32 - 1),
+        cellsize=st.sampled_from([0.05, 1.0, 2.5, 30.0]),
+        azimuth=st.floats(0.0, 359.99),
+        altitude=st.floats(0.5, 90.0),
+        z_factor=st.floats(0.1, 10.0),
+        nodata=st.sampled_from([None, -9999.0, 0.5]),
+    )
+    def test_bands_match_whole_grid_oracle(
+        self, h, w, band, seed, cellsize, azimuth, altitude, z_factor, nodata
+    ):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(scale=rng.choice([0.01, 1.0, 50.0]), size=(h, w))
+        if nodata is not None:
+            values[rng.random((h, w)) < 0.05] = nodata
+        params = HillshadeParams(azimuth=azimuth, altitude=altitude, z_factor=z_factor)
+        with mock.patch.object(terrain, "_BAND", band):
+            out = hillshade(ScalarGrid(values, cellsize=cellsize, nodata=nodata), params)
+        shade, out_nodata = hillshade_whole(values, cellsize, nodata, azimuth, altitude, z_factor)
+        assert np.array_equal(out.values.view(np.int64), shade.view(np.int64))
+        assert out.nodata == out_nodata
+
 
 class TestSigmoidalStretch:
     def test_midpoint_maps_to_half(self):
@@ -136,6 +166,32 @@ class TestSigmoidalStretch:
         assert out.nodata_mask[0, 2]
         assert out.values[0, 0] == 0.0
         assert out.values[0, 3] == pytest.approx(1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+        nodata=st.sampled_from([None, -9999.0, 0.5]),
+        holes=st.sampled_from([0.0, 0.3, 1.0]),
+        strength=st.floats(0.01, 20.0),
+        scale=st.floats(0.01, 5.0),
+    )
+    def test_matches_copying_oracle(self, seed, shape, nodata, holes, strength, scale):
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-0.0, 0.0, 1.0, 3.5], size=shape) if rng.random() < 0.3 else rng.normal(size=shape)
+        if nodata is not None:
+            values[rng.random(shape) < holes] = nodata
+        grid = ScalarGrid(values, nodata=nodata)
+        params = StretchParams(strength=strength, scale=scale)
+        try:
+            expected, out_nodata = sigmoidal_stretch_copies(values, nodata, strength, scale)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                sigmoidal_stretch(grid, params)
+            return
+        out = sigmoidal_stretch(grid, params)
+        assert np.array_equal(out.values.view(np.int64), expected.view(np.int64))
+        assert out.nodata == out_nodata
 
 
 class TestQuantize8:
