@@ -58,7 +58,7 @@ def _cmd_hillshade(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     algo = ALGORITHMS[args.method]
     raster = algo.load(args.input)
-    write_pgm16(relabel_connected(algo.segment(raster, _params(algo.params, args))), args.out)
+    write_pgm16(algo.segment(raster, _params(algo.params, args)), args.out)
     return 0
 
 

@@ -71,17 +71,19 @@ class _Form(typing.NamedTuple):
     slack: float = 0.0
 
 
-def _within(v: np.ndarray, lo: float, hi: float) -> bool:
-    """Every value finite and in [lo, hi] (NaN is neither) in at most one
-    pass for finite-only bounds or an integer dtype, which skips the
-    reduction its own range already settles."""
+def _within(v: np.ndarray, lo: float, hi: float, where: np.ndarray | bool = True) -> bool:
+    """Every value where ``where`` holds finite and in [lo, hi] (NaN is neither),
+    in at most one pass for finite-only bounds or an integer dtype, which
+    skips the reduction its own range already settles.  Other bounds are
+    finite, so a NaN or an infinity fails one of the two comparisons."""
     if v.dtype.kind in "iu":
         info = np.iinfo(v.dtype)
-        return (info.min >= lo or v.min() >= lo) and (info.max <= hi or v.max() <= hi)
+        return (info.min >= lo or v.min(where=where, initial=info.max) >= lo) and (
+            info.max <= hi or v.max(where=where, initial=info.min) <= hi
+        )
     if (lo, hi) == _FINITE:
-        return bool(np.isfinite(v).all())
-    mn, mx = float(v.min()), float(v.max())
-    return math.isfinite(mn) and math.isfinite(mx) and lo <= mn and mx <= hi
+        return bool(np.isfinite(v).all(where=where))
+    return bool(lo <= v.min(where=where, initial=math.inf) and v.max(where=where, initial=-math.inf) <= hi)
 
 
 def _check_raster(self: _Raster, skip: float | None = None) -> None:
@@ -104,15 +106,17 @@ def _check_raster(self: _Raster, skip: float | None = None) -> None:
     if a.dtype.kind not in form.kinds:
         raise ValueError(f"{name} must be {'integers' if form.kinds == 'iu' else 'numbers'}, got dtype {a.dtype}")
 
-    data = a if skip is None else a[a != skip]
+    keep = True if skip is None else a != skip
     outer = (min(lo for lo, _ in form.bounds), max(hi for _, hi in form.bounds))
     # the whole array against the widest range, then each narrower channel
     for c, (lo, hi) in [(None, outer), *((c, b) for c, b in enumerate(form.bounds) if b != outer)]:
-        v = data if c is None else data[..., c]
-        if v.size and not _within(v, lo - form.slack, hi + form.slack):
+        v = a if c is None else a[..., c]
+        w = keep if c is None or skip is None else keep[..., c]
+        if not _within(v, lo - form.slack, hi + form.slack, w):
             rule = "finite" if (lo, hi) == _FINITE else f"in [{lo}, {hi}]"
             which = "" if c is None else f" channel {c}"
-            raise ValueError(f"{name}{which} must be {rule}, got values from {v.min()} to {v.max()}")
+            seen = v[w]  # the checked values (all of v when w is True), copied only to report them
+            raise ValueError(f"{name}{which} must be {rule}, got values from {seen.min()} to {seen.max()}")
 
     if a.dtype != form.dtype:
         out = a.astype(form.dtype)
@@ -172,10 +176,6 @@ class ScalarGrid(_Raster):
         if self.nodata is None:
             return np.zeros(self.values.shape, dtype=bool)
         return self.values == self.nodata
-
-    def data_values(self) -> np.ndarray:
-        """Flat array of all non-nodata values."""
-        return self.values[~self.nodata_mask]
 
 
 @dataclass

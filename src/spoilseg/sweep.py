@@ -1,8 +1,8 @@
 """Parameter sweeps with Hoover scoring, plus external-mask ingestion.
 
 A sweep walks the full Cartesian product of a declared parameter grid, runs
-the chosen segmenter per combination, normalises the result to connected
-components and scores it against ground truth.  Reports are byte-stable:
+the chosen segmenter per combination and scores its connected regions
+against ground truth.  Reports are byte-stable:
 identical configuration and inputs always produce identical CSV/JSON files.
 :data:`ALGORITHMS` is the one table of segmenters, their Params dataclasses
 and inputs; the CLI's ``segment`` commands dispatch through it too.
@@ -31,7 +31,11 @@ from .voronoi import VoronoiParams, voronoi_pipeline
 
 
 class Algorithm(NamedTuple):
-    """A segmenter as the sweep and the CLI see it."""
+    """A segmenter as the sweep and the CLI see it.
+
+    ``segment`` returns a connected 1..K map in raster order: each region is
+    one 4-connected component, numbered as ``relabel_connected`` would.
+    """
 
     params: type  # Params dataclass; its fields are the parameter names
     input_key: str  # which config input feeds it: "image" or "hillshade"
@@ -40,7 +44,9 @@ class Algorithm(NamedTuple):
 
 
 # The lambdas look their functions up when called, so a wrapper installed on
-# a module attribute (a tracer, a test double) sees every call.
+# a module attribute (a tracer, a test double) sees every call.  Mean shift
+# and SLIC end in ``merge_small_regions``, already connected 1..K; only the
+# Voronoi cells, split by the foreground mask, need relabelling.
 ALGORITHMS = {
     "meanshift": Algorithm(
         MeanShiftParams,
@@ -58,7 +64,7 @@ ALGORITHMS = {
         VoronoiParams,
         "hillshade",
         lambda path: read_gray_pgm16(path),
-        lambda img, p: voronoi_pipeline(img, p),
+        lambda img, p: relabel_connected(voronoi_pipeline(img, p)),
     ),
 }
 
@@ -172,7 +178,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         params.update(dict(zip(names, values)))
         row = SweepRow(params=dict(zip(names, values)))
         try:
-            seg = relabel_connected(algo.segment(raster, algo.params(**params)))
+            seg = algo.segment(raster, algo.params(**params))
             row.scores = evaluate_segmentation(gt, seg, cfg.threshold)
         except Exception as exc:  # recorded, not fatal: one bad row must not kill the sweep
             row.error = f"{type(exc).__name__}: {exc}"

@@ -22,6 +22,7 @@ from spoilseg import (
     ingest_external_mask,
     load_sweep_config,
     quantize8,
+    relabel_connected,
     run_sweep,
     sigmoidal_stretch,
     synth_pilefield,
@@ -29,7 +30,7 @@ from spoilseg import (
     write_pgm16,
     write_ppm,
 )
-from spoilseg.sweep import report_csv, report_json
+from spoilseg.sweep import ALGORITHMS, report_csv, report_json
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +195,23 @@ class TestRunSweep:
         _, gt = pilefield
         with pytest.raises(ValueError, match="image"):
             SweepConfig(algorithm="slic", grid={"superpixels": [4]}, ground_truth=str(gt))
+
+
+class TestAlgorithmRegistry:
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_segment_returns_connected_labels_in_raster_order(self, tmp_path, name):
+        # segment's contract, which the CLI and the sweep rely on instead of relabelling
+        dsm, _ = synth_pilefield(96, 96, 4, 6.0, 7)
+        gray = quantize8(sigmoidal_stretch(dsm))
+        noise = np.random.default_rng(5).integers(0, 40, size=gray.values.shape, dtype=np.uint8)
+        paths = {"hillshade": tmp_path / "in.pgm", "image": tmp_path / "in.ppm"}
+        write_gray_pgm16(gray, paths["hillshade"])
+        write_ppm(RasterRGB(np.stack([gray.values, 255 - gray.values, noise], axis=2)), paths["image"])
+        algo = ALGORITHMS[name]
+        small = {"meanshift": {"min_region_size": 20}}.get(name, {})  # the default 10000 px is above 96²
+        out = algo.segment(algo.load(paths[algo.input_key]), algo.params(**small))
+        assert out.region_count() > 1
+        assert np.array_equal(relabel_connected(out).labels, out.labels)
 
 
 class TestReports:

@@ -10,7 +10,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spoilseg import FormatError, hillshade, read_asc_grid, sigmoidal_stretch, synth_pilefield, write_asc_grid
+from spoilseg import (
+    FormatError,
+    ScalarGrid,
+    hillshade,
+    read_asc_grid,
+    sigmoidal_stretch,
+    synth_pilefield,
+    write_asc_grid,
+)
 
 N = 512
 
@@ -18,6 +26,14 @@ N = 512
 @pytest.fixture(scope="module")
 def dsm():
     return synth_pilefield(N, N, 16, 12.0, 1)[0]
+
+
+@pytest.fixture(scope="module")
+def holed_dsm(dsm):
+    """The same DSM with a 10x10 nodata hole: the value check must not copy the data cells."""
+    values = dsm.values.copy()
+    values[100:110, 200:210] = -9999.0
+    return ScalarGrid(values, nodata=-9999.0)
 
 
 def peak_bytes_per_pixel(stage) -> float:
@@ -56,3 +72,11 @@ def test_hillshade(dsm):
 
 def test_sigmoidal_stretch(dsm):
     assert peak_bytes_per_pixel(lambda: sigmoidal_stretch(dsm)) <= 12
+
+
+def test_hillshade_with_nodata(holed_dsm):
+    assert peak_bytes_per_pixel(lambda: hillshade(holed_dsm)) <= 18
+
+
+def test_sigmoidal_stretch_with_nodata(holed_dsm):
+    assert peak_bytes_per_pixel(lambda: sigmoidal_stretch(holed_dsm)) <= 12
