@@ -69,8 +69,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         gt = relabel_connected(gt)
         pred = relabel_connected(pred)
     table = overlap_table(gt, pred)
-    if not table.gt_sizes:
-        raise ValueError("ground truth has no regions")
     classification = hoover_classify(table, args.threshold)
     scores = hoover_scores(classification, len(table.gt_sizes), len(table.ms_sizes), args.threshold)
     payload = scores.to_dict()

@@ -195,8 +195,8 @@ class LabelMap(_Raster):
 
     def region_sizes(self) -> dict[int, int]:
         """Pixel count per positive label."""
-        counts = np.bincount(self.labels.ravel())
-        return {int(i): int(c) for i, c in enumerate(counts) if i > 0 and c > 0}
+        ids, counts = np.unique(self.labels, return_counts=True)
+        return {int(i): int(c) for i, c in zip(ids, counts) if i > 0}
 
 
 @dataclass

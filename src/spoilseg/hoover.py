@@ -269,7 +269,7 @@ def hoover_scores(
     (0 when there are no machine regions).
     """
     if n_gt <= 0:
-        raise ValueError("need at least one ground-truth region")
+        raise ValueError("ground truth has no regions")
     T = _as_fraction(threshold)
     correct = len(classification.correct_pairs)
     over = len(classification.over_instances)
@@ -308,7 +308,5 @@ def evaluate_segmentation(
 ) -> HooverScores:
     """Overlap table, classification and scores in one call."""
     table = overlap_table(gt, ms)
-    if not table.gt_sizes:
-        raise ValueError("ground truth has no regions")
     classification = hoover_classify(table, threshold)
     return hoover_scores(classification, len(table.gt_sizes), len(table.ms_sizes), threshold)

@@ -53,17 +53,20 @@ def relabel_connected(label_map: LabelMap) -> LabelMap:
 
 
 def drop_small_regions(label_map: LabelMap, min_size: int) -> LabelMap:
-    """Zero out every positive label owning fewer than ``min_size`` pixels."""
-    if min_size <= 1:
-        return LabelMap(label_map.labels.copy())
+    """Zero every region below ``min_size`` pixels; number the rest 1..K in label order.
+
+    On a :func:`relabel_connected` map this is the relabel of the zeroed map,
+    bit for bit: zeroing whole regions neither splits nor joins a survivor.
+    Pixel counts are indexed by label, so a label above the pixel count is
+    refused; relabel such a map first.
+    """
     lab = label_map.labels
-    counts = np.bincount(lab.ravel())
-    small = np.flatnonzero(counts < min_size)
-    keep = np.ones(counts.size, dtype=bool)
-    keep[small] = False
+    top = int(lab.max())
+    if top > lab.size:
+        raise ValueError(f"label {top} exceeds the pixel count {lab.size}; relabel the map first")
+    keep = np.bincount(lab.ravel()) >= max(min_size, 1)
     keep[0] = False
-    out = np.where(keep[lab], lab, 0)
-    return LabelMap(out.astype(np.int32))
+    return LabelMap(np.where(keep, np.cumsum(keep, dtype=np.int32), 0)[lab])
 
 
 def _boundary_table(labels: np.ndarray, n: int) -> dict[int, dict[int, int]]:

@@ -167,7 +167,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     """
     algo = ALGORITHMS[cfg.algorithm]
     gt = relabel_connected(read_pgm16(cfg.ground_truth))
-    if gt.region_count() == 0:
+    if not gt.labels.any():
         raise ValueError("ground truth has no regions")
     raster = algo.load(getattr(cfg, algo.input_key))
 
@@ -266,21 +266,21 @@ def ingest_external_mask(
 ) -> tuple[LabelMap, dict]:
     """Load and normalise an externally produced label mask.
 
-    The mask is split into connected components; regions below ``min_region``
-    pixels (an integer >= 0) drop to background.  Returns the normalised map
-    plus a report fragment carrying the metadata and region counts.
+    The mask is split into 4-connected regions once, regions below
+    ``min_region`` pixels (an integer >= 0) drop to background and the rest
+    are numbered 1..K in raster order.  Returns the normalised map plus a
+    report fragment carrying the metadata and region counts.
     """
     _check_field("min_region", min_region, int, {"ge": 0})
     m = relabel_connected(read_pgm16(path))
-    raw_regions = m.region_count()
-    if min_region > 0:
-        m = relabel_connected(drop_small_regions(m, min_region))
+    raw_regions = int(m.labels.max())  # both maps are numbered 1..K: the top label counts them
+    m = drop_small_regions(m, min_region)
     meta = metadata if metadata is not None else ExternalMaskMetadata()
     info = {
         "source": meta.source,
         "parameters": dict(meta.parameters),
         "min_region": min_region,
         "regions_before_filter": raw_regions,
-        "regions": m.region_count(),
+        "regions": int(m.labels.max()),
     }
     return m, info

@@ -36,6 +36,16 @@ def flood_fill_components(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def zero_small_regions(labels: np.ndarray, min_size: int) -> np.ndarray:
+    """Zero every positive label owning fewer than ``min_size`` pixels; keep the rest as they are."""
+    if min_size <= 1:
+        return labels.copy()
+    counts = np.bincount(labels.ravel())
+    keep = counts >= min_size
+    keep[0] = False
+    return np.where(keep[labels], labels, 0).astype(np.int32)
+
+
 def nearest_seed_labels(
     seed_xy: list[tuple[int, int]], width: int, height: int, mask: np.ndarray | None = None
 ) -> np.ndarray:

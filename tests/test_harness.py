@@ -191,6 +191,13 @@ class TestRunSweep:
         assert bad.scores is None and bad.error == f"ValueError: {message}"
         assert good.error is None and good.scores is not None
 
+    def test_empty_ground_truth_fails_before_the_input_is_read(self, tmp_path):
+        gt = tmp_path / "empty.pgm"
+        write_pgm16(LabelMap(np.zeros((8, 8), dtype=np.int32)), gt)
+        cfg = voronoi_config(tmp_path / "missing.pgm", gt, {"sigma": [12.0]})
+        with pytest.raises(ValueError, match="^ground truth has no regions$"):
+            run_sweep(cfg)
+
     def test_missing_input_for_algorithm(self, tmp_path, pilefield):
         _, gt = pilefield
         with pytest.raises(ValueError, match="image"):

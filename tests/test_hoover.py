@@ -193,8 +193,14 @@ class TestScores:
     def test_zero_gt_rejected(self):
         from spoilseg import HooverClassification
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ground truth has no regions$"):
             hoover_scores(HooverClassification(), 0, 0)
+
+    def test_empty_ground_truth_rejected_by_evaluate(self):
+        gt = LabelMap(np.zeros((4, 4), dtype=np.int32))
+        ms = LabelMap(np.ones((4, 4), dtype=np.int32))
+        with pytest.raises(ValueError, match="^ground truth has no regions$"):
+            evaluate_segmentation(gt, ms, 0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), t=st.sampled_from([0.5, 0.51, 0.8, 1.0]))

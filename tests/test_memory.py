@@ -3,6 +3,8 @@
 ``tracemalloc`` sees numpy's data buffers as well as Python objects, so the
 peak is deterministic.  The budgets hold the terrain path to a few arrays of
 the grid's size: the output, a mask and the value check of the result.
+``LabelMap.region_sizes`` has an absolute bound instead: its table follows
+the labels present, not the largest label.
 """
 
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 
 from spoilseg import (
     FormatError,
+    LabelMap,
     ScalarGrid,
     hillshade,
     read_asc_grid,
@@ -80,3 +83,14 @@ def test_hillshade_with_nodata(holed_dsm):
 
 def test_sigmoidal_stretch_with_nodata(holed_dsm):
     assert peak_bytes_per_pixel(lambda: sigmoidal_stretch(holed_dsm)) <= 12
+
+
+def test_region_sizes_counts_only_the_labels_present():
+    labels = LabelMap(np.array([[0, 2**24]], dtype=np.int32))
+    tracemalloc.start()
+    try:
+        assert labels.region_sizes() == {2**24: 1}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a table indexed by label would take 128 MB

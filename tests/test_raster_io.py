@@ -8,13 +8,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import AscFormatError, flood_fill_components, read_asc_whole
+from oracles import AscFormatError, flood_fill_components, read_asc_whole, zero_small_regions
 from spoilseg import (
     FormatError,
     GrayImage,
     LabelMap,
     RasterRGB,
     ScalarGrid,
+    drop_small_regions,
     read_asc_grid,
     read_gray_pgm16,
     read_pgm16,
@@ -381,3 +382,33 @@ class TestRelabelConnected:
         twice = relabel_connected(once)
         assert np.array_equal(once.labels, twice.labels)
         assert np.array_equal(once.labels == 0, lab == 0)
+
+
+class TestDropSmallRegions:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 16),
+        st.integers(1, 16),
+        st.integers(1, 4),
+        st.integers(0, 10),
+    )
+    def test_equals_relabel_of_the_zeroed_map(self, seed, h, w, block, min_size):
+        # blocks of one label give regions of many sizes; a label drawn for
+        # several blocks is split into several components
+        rng = np.random.default_rng(seed)
+        coarse = rng.integers(0, 5, size=(-(-h // block), -(-w // block)))
+        m = relabel_connected(LabelMap(coarse.repeat(block, 0).repeat(block, 1)[:h, :w].astype(np.int32)))
+        expected = relabel_connected(LabelMap(zero_small_regions(m.labels, min_size)))
+        out = drop_small_regions(m, min_size)
+        assert out.labels.dtype == expected.labels.dtype
+        assert np.array_equal(out.labels, expected.labels)
+
+    def test_label_above_pixel_count_refused(self):
+        with pytest.raises(ValueError, match="relabel"):
+            drop_small_regions(LabelMap(np.array([[0, 2**24]], dtype=np.int32)), 2)
+
+    def test_all_regions_dropped(self):
+        m = relabel_connected(LabelMap(np.array([[1, 0, 2], [1, 0, 2]], dtype=np.int32)))
+        out = drop_small_regions(m, 3)
+        assert not out.labels.any()
