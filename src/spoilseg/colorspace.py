@@ -17,15 +17,26 @@ _SRGB_TO_XYZ = np.array(
 # on L=100, a=b=0 and L never exceeds 100
 _D65_WHITE = _SRGB_TO_XYZ.sum(axis=1)
 _EPS = (6.0 / 29.0) ** 3
+# rows converted at a time: the band's temporaries stay small next to the output
+_BAND = 64
 
 
 def rgb_to_lab(img: RasterRGB) -> LabImage:
-    """Convert 8-bit sRGB to CIELAB via linear RGB and XYZ (D65)."""
-    c = img.pixels.astype(np.float64) / 255.0
-    linear = np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
-    xyz = linear @ _SRGB_TO_XYZ.T / _D65_WHITE
-    f = np.where(xyz > _EPS, np.cbrt(xyz), xyz / (3.0 * (6.0 / 29.0) ** 2) + 4.0 / 29.0)
-    L = 116.0 * f[..., 1] - 16.0
-    a = 500.0 * (f[..., 0] - f[..., 1])
-    b = 200.0 * (f[..., 1] - f[..., 2])
-    return LabImage(np.stack([L, a, b], axis=-1))
+    """Convert 8-bit sRGB to CIELAB via linear RGB and XYZ (D65).
+
+    The image is converted in bands of ``_BAND`` rows into one output array.
+    Every pixel goes through the same operations as in one whole-image pass;
+    the ``@`` multiplies each row's (w, 3) matrix on its own either way.
+    """
+    h, w, _ = img.pixels.shape
+    lab = np.empty((h, w, 3), dtype=np.float64)
+    for top in range(0, h, _BAND):
+        c = img.pixels[top : top + _BAND].astype(np.float64) / 255.0
+        linear = np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
+        xyz = linear @ _SRGB_TO_XYZ.T / _D65_WHITE
+        f = np.where(xyz > _EPS, np.cbrt(xyz), xyz / (3.0 * (6.0 / 29.0) ** 2) + 4.0 / 29.0)
+        band = lab[top : top + _BAND]
+        band[..., 0] = 116.0 * f[..., 1] - 16.0
+        band[..., 1] = 500.0 * (f[..., 0] - f[..., 1])
+        band[..., 2] = 200.0 * (f[..., 1] - f[..., 2])
+    return LabImage(lab)

@@ -138,10 +138,12 @@ def hoover_classify(table: OverlapTable, threshold: float | Fraction = 0.5) -> H
     free_ms = set(ms_sizes)
     result = HooverClassification()
 
+    # ov >= T * size exactly, in integers: ov * q >= p * size with T = p / q
+    p, q = T.numerator, T.denominator
     candidates = [
         (ov, gi, mi)
         for (gi, mi), ov in overlaps.items()
-        if ov >= T * ms_sizes[mi] and ov >= T * gt_sizes[gi]
+        if ov * q >= p * ms_sizes[mi] and ov * q >= p * gt_sizes[gi]
     ]
     candidates.sort(key=lambda it: (-it[0], it[1], it[2]))
     for ov, gi, mi in candidates:
@@ -160,9 +162,9 @@ def hoover_classify(table: OverlapTable, threshold: float | Fraction = 0.5) -> H
         members = sorted(
             mi
             for mi in by_gt.get(gi, [])
-            if mi in free_ms and overlaps[(gi, mi)] >= T * ms_sizes[mi]
+            if mi in free_ms and overlaps[(gi, mi)] * q >= p * ms_sizes[mi]
         )
-        if len(members) >= 2 and sum(overlaps[(gi, mi)] for mi in members) >= T * gt_sizes[gi]:
+        if len(members) >= 2 and sum(overlaps[(gi, mi)] for mi in members) * q >= p * gt_sizes[gi]:
             result.over_instances.append((gi, tuple(members)))
             free_gt.remove(gi)
             free_ms.difference_update(members)
@@ -171,9 +173,9 @@ def hoover_classify(table: OverlapTable, threshold: float | Fraction = 0.5) -> H
         members = sorted(
             gi
             for gi in by_ms.get(mi, [])
-            if gi in free_gt and overlaps[(gi, mi)] >= T * gt_sizes[gi]
+            if gi in free_gt and overlaps[(gi, mi)] * q >= p * gt_sizes[gi]
         )
-        if len(members) >= 2 and sum(overlaps[(gi, mi)] for gi in members) >= T * ms_sizes[mi]:
+        if len(members) >= 2 and sum(overlaps[(gi, mi)] for gi in members) * q >= p * ms_sizes[mi]:
             result.under_instances.append((mi, tuple(members)))
             free_ms.remove(mi)
             free_gt.difference_update(members)

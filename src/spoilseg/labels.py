@@ -70,12 +70,19 @@ def drop_small_regions(label_map: LabelMap, min_size: int) -> LabelMap:
 
 
 def _boundary_table(labels: np.ndarray, n: int) -> dict[int, dict[int, int]]:
-    """Shared 4-adjacent pixel-pair counts between distinct positive labels."""
-    a = np.concatenate([labels[:, :-1].ravel(), labels[:-1, :].ravel()])
-    b = np.concatenate([labels[:, 1:].ravel(), labels[1:, :].ravel()])
-    keep = (a != b) & (a > 0) & (b > 0)
-    lo, hi = np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep])
-    keys, counts = np.unique(lo * n + hi, return_counts=True)
+    """Shared 4-adjacent pixel-pair counts between distinct positive labels.
+
+    Each direction contributes the pairs where the label changes between two
+    regions; only those pixels become int64 keys ``lo * n + hi``.
+    """
+    keys = []
+    for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1], labels[1:])):
+        keep = a != b
+        keep &= a > 0
+        keep &= b > 0
+        a, b = a[keep], b[keep]
+        keys.append(np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b))
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
     table: dict[int, dict[int, int]] = {l: {} for l in range(1, n)}
     for key, c in zip(keys.tolist(), counts.tolist()):
         x, y = divmod(key, n)
@@ -97,7 +104,7 @@ def merge_small_regions(
     1..K in raster-scan order.
     """
     current = relabel_connected(label_map)
-    labels = current.labels.astype(np.int64)
+    labels = current.labels
     n = int(labels.max()) + 1
     flat = labels.ravel()
     sizes = np.bincount(flat, minlength=n).astype(np.int64)
@@ -144,4 +151,4 @@ def merge_small_regions(
         if np.array_equal(root, parent):
             break
         parent = root
-    return relabel_connected(LabelMap(parent[labels].astype(np.int32)))
+    return relabel_connected(LabelMap(parent.astype(np.int32)[labels]))

@@ -80,11 +80,10 @@ def read_ppm(path: str | os.PathLike) -> RasterRGB:
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, expected 255")
     need = width * height * 3
-    payload = data[offset : offset + need]
-    if len(payload) < need:
-        raise FormatError(f"truncated pixel payload: expected {need} bytes, got {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return RasterRGB(pixels.copy())
+    if len(data) - offset < need:
+        raise FormatError(f"truncated pixel payload: expected {need} bytes, got {len(data) - offset}")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset).reshape(height, width, 3)
+    return RasterRGB(pixels.copy())  # a writable array that does not hold the file's bytes
 
 
 def write_ppm(img: RasterRGB, path: str | os.PathLike) -> None:
@@ -100,10 +99,9 @@ def read_pgm16(path: str | os.PathLike) -> LabelMap:
     if maxval != 65535:
         raise FormatError(f"unsupported maxval {maxval}, expected 65535")
     need = width * height * 2
-    payload = data[offset : offset + need]
-    if len(payload) < need:
-        raise FormatError(f"truncated pixel payload: expected {need} bytes, got {len(payload)}")
-    labels = np.frombuffer(payload, dtype=">u2").reshape(height, width)
+    if len(data) - offset < need:
+        raise FormatError(f"truncated pixel payload: expected {need} bytes, got {len(data) - offset}")
+    labels = np.frombuffer(data, dtype=">u2", count=need // 2, offset=offset).reshape(height, width)
     return LabelMap(labels.astype(np.int32))
 
 

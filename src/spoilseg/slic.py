@@ -128,16 +128,14 @@ def slic_assign(
     return _assign_planes(_split_planes(lab), centers, step, compactness)
 
 
-def slic(img: LabImage, params: SlicParams | None = None) -> LabelMap:
-    """SLIC superpixels: labels 1..K, every region one connected component."""
-    p = params if params is not None else SlicParams()
-    lab = img.values
-    h, w, _ = lab.shape
-    n = h * w
-    if p.superpixels > n:
-        raise ValueError("superpixel count exceeds pixel count")
+def _cluster(lab: np.ndarray, p: SlicParams) -> np.ndarray:
+    """Seed, then alternate assignment and center update: int32 labels 1..k.
 
-    step = max(1, round(math.sqrt(n / p.superpixels)))
+    Kept apart from :func:`slic` so the planes, pixel grids and assignment
+    buffers are freed before the small regions merge.
+    """
+    h, w, _ = lab.shape
+    step = max(1, round(math.sqrt(h * w / p.superpixels)))
     centers = _seed_centers(lab, step)
     planes = _split_planes(lab)
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
@@ -149,9 +147,22 @@ def slic(img: LabImage, params: SlicParams | None = None) -> LabelMap:
         for col, feat in enumerate([*planes, xs, ys]):
             sums = np.bincount(assign.ravel(), weights=feat.ravel(), minlength=len(centers))
             centers[nonempty, col] = sums[nonempty] / counts[nonempty]
+        del assign  # not held while the next sweep builds its own
         assign = _assign_planes(planes, centers, step, p.compactness)
+    labels = assign.astype(np.int32)
+    labels += 1
+    return labels
 
+
+def slic(img: LabImage, params: SlicParams | None = None) -> LabelMap:
+    """SLIC superpixels: labels 1..K, every region one connected component."""
+    p = params if params is not None else SlicParams()
+    n = img.width * img.height
+    if p.superpixels > n:
+        raise ValueError("superpixel count exceeds pixel count")
+
+    labels = _cluster(img.values, p)
     min_size = p.min_region_size
     if min_size is None:
         min_size = max(1, (n // p.superpixels) // 4)
-    return merge_small_regions(LabelMap(assign.astype(np.int32) + 1), min_size)
+    return merge_small_regions(LabelMap(labels), min_size)

@@ -571,3 +571,86 @@ def sigmoidal_stretch_copies(
     if nodata is not None:
         y = np.where(mask, out_nodata, y)
     return y, out_nodata
+
+
+def rgb_to_lab_whole(pixels: np.ndarray) -> np.ndarray:
+    """sRGB to CIELAB (D65) over the whole (h, w, 3) uint8 image at once, a
+    fresh array per operation; returns the (h, w, 3) float64 Lab values."""
+    srgb_to_xyz = np.array(
+        [
+            [0.4124564, 0.3575761, 0.1804375],
+            [0.2126729, 0.7151522, 0.0721750],
+            [0.0193339, 0.1191920, 0.9503041],
+        ]
+    )
+    white = srgb_to_xyz.sum(axis=1)
+    eps = (6.0 / 29.0) ** 3
+    c = pixels.astype(np.float64) / 255.0
+    linear = np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
+    xyz = linear @ srgb_to_xyz.T / white
+    f = np.where(xyz > eps, np.cbrt(xyz), xyz / (3.0 * (6.0 / 29.0) ** 2) + 4.0 / 29.0)
+    L = 116.0 * f[..., 1] - 16.0
+    a = 500.0 * (f[..., 0] - f[..., 1])
+    b = 200.0 * (f[..., 1] - f[..., 2])
+    return np.stack([L, a, b], axis=-1)
+
+
+def boundary_table_concat(labels: np.ndarray, n: int) -> dict[int, dict[int, int]]:
+    """Shared 4-adjacent pixel-pair counts between distinct positive labels,
+    from int64 pixel pairs of both directions concatenated: {label: {other: count}}
+    for every label 1..n-1."""
+    labels = labels.astype(np.int64)
+    a = np.concatenate([labels[:, :-1].ravel(), labels[:-1, :].ravel()])
+    b = np.concatenate([labels[:, 1:].ravel(), labels[1:, :].ravel()])
+    keep = (a != b) & (a > 0) & (b > 0)
+    lo, hi = np.minimum(a[keep], b[keep]), np.maximum(a[keep], b[keep])
+    keys, counts = np.unique(lo * n + hi, return_counts=True)
+    table: dict[int, dict[int, int]] = {l: {} for l in range(1, n)}
+    for key, c in zip(keys.tolist(), counts.tolist()):
+        x, y = divmod(key, n)
+        table[x][y] = table[y][x] = c
+    return table
+
+
+def hoover_classify_fractions(
+    gt_sizes: dict[int, int], ms_sizes: dict[int, int], overlaps: dict[tuple[int, int], int], T
+) -> tuple[list, list, list, list, list]:
+    """Greedy Hoover classification comparing every overlap with ``T * size``
+    as a ``Fraction`` (T a Fraction in (0, 1]).  Returns (correct pairs, over
+    instances, under instances, missed gt, noise ms)."""
+    free_gt, free_ms = set(gt_sizes), set(ms_sizes)
+    correct, over, under = [], [], []
+    candidates = [
+        (ov, gi, mi)
+        for (gi, mi), ov in overlaps.items()
+        if ov >= T * ms_sizes[mi] and ov >= T * gt_sizes[gi]
+    ]
+    candidates.sort(key=lambda it: (-it[0], it[1], it[2]))
+    for _, gi, mi in candidates:
+        if gi in free_gt and mi in free_ms:
+            correct.append((gi, mi))
+            free_gt.remove(gi)
+            free_ms.remove(mi)
+
+    by_gt: dict[int, list[int]] = {}
+    by_ms: dict[int, list[int]] = {}
+    for gi, mi in overlaps:
+        by_gt.setdefault(gi, []).append(mi)
+        by_ms.setdefault(mi, []).append(gi)
+    for gi in sorted(free_gt):
+        members = sorted(
+            mi for mi in by_gt.get(gi, []) if mi in free_ms and overlaps[(gi, mi)] >= T * ms_sizes[mi]
+        )
+        if len(members) >= 2 and sum(overlaps[(gi, mi)] for mi in members) >= T * gt_sizes[gi]:
+            over.append((gi, tuple(members)))
+            free_gt.remove(gi)
+            free_ms.difference_update(members)
+    for mi in sorted(free_ms):
+        members = sorted(
+            gi for gi in by_ms.get(mi, []) if gi in free_gt and overlaps[(gi, mi)] >= T * gt_sizes[gi]
+        )
+        if len(members) >= 2 and sum(overlaps[(gi, mi)] for gi in members) >= T * ms_sizes[mi]:
+            under.append((mi, tuple(members)))
+            free_ms.remove(mi)
+            free_gt.difference_update(members)
+    return correct, over, under, sorted(free_gt), sorted(free_ms)

@@ -4,12 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import mean_shift_modes, mean_shift_trajectory, srgb_to_lab_scalar
+from oracles import mean_shift_modes, mean_shift_trajectory, rgb_to_lab_whole, srgb_to_lab_scalar
 from spoilseg import MeanShiftParams, RasterRGB, mean_shift_filter, mean_shift_segment, rgb_to_lab
-from spoilseg import meanshift
+from spoilseg import colorspace, meanshift
 
 
 def solid(h, w, color):
@@ -53,6 +53,24 @@ class TestRgbToLab:
         L = rgb_to_lab(RasterRGB(px)).values[..., 0]
         assert L.min() >= 0.0
         assert L.max() <= 100.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(1, 300),
+        w=st.integers(1, 40),
+        band=st.sampled_from([1, 7, 64, 256]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(h=1, w=700, band=64, seed=0)
+    @example(h=700, w=1, band=64, seed=1)
+    @example(h=130, w=9, band=64, seed=2)
+    @example(h=257, w=3, band=256, seed=3)
+    def test_bands_match_whole_image_oracle(self, h, w, band, seed):
+        # the bits must not depend on the band height, the @ matmul's included
+        px = np.random.default_rng(seed).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        with mock.patch.object(colorspace, "_BAND", band):
+            lab = rgb_to_lab(RasterRGB(px)).values
+        assert np.array_equal(lab.view(np.int64), rgb_to_lab_whole(px).view(np.int64))
 
 
 def brute_force_modes(img: RasterRGB, p: MeanShiftParams) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hoover_classify_fractions
 from spoilseg import (
     LabelMap,
     OverlapTable,
@@ -254,6 +255,30 @@ class TestBruteForceOracle:
         table = overlap_table(gt, ms)
         assert classification_tuple(hoover_classify(table, t)) == classification_tuple(
             hoover_bruteforce(table, t)
+        )
+
+
+class TestFractionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        side=st.integers(2, 16),
+        max_regions=st.integers(1, 12),
+        t=st.sampled_from([0.5, 0.51, 1, 1.0, Fraction(1, 3), Fraction(2, 3), 1e-9]),
+    )
+    def test_integer_tests_classify_as_fractions(self, seed, side, max_regions, t):
+        table = overlap_table(*random_maps(seed, side, max_regions))
+        T = t if isinstance(t, Fraction) else Fraction(str(t))
+        expected = hoover_classify_fractions(table.gt_sizes, table.ms_sizes, table.overlaps, T)
+        assert classification_tuple(hoover_classify(table, t)) == expected
+
+    def test_exact_threshold_ties_count_as_reached(self):
+        # every overlap is exactly T * 9 = 3 at T = 1/3, the gt region's share of each
+        t = OverlapTable(gt_sizes={1: 9}, ms_sizes={1: 3, 2: 9, 3: 9}, overlaps={(1, 1): 3, (1, 2): 3, (1, 3): 3})
+        c = hoover_classify(t, Fraction(1, 3))
+        assert c.correct_pairs == [(1, 1)]
+        assert classification_tuple(c) == hoover_classify_fractions(
+            t.gt_sizes, t.ms_sizes, t.overlaps, Fraction(1, 3)
         )
 
 

@@ -1,8 +1,12 @@
 """Peak memory per stage on a 512x512 grid, in bytes per pixel.
 
 ``tracemalloc`` sees numpy's data buffers as well as Python objects, so the
-peak is deterministic.  The budgets hold the terrain path to a few arrays of
-the grid's size: the output, a mask and the value check of the result.
+peak is deterministic.  Each budget holds a stage to a few arrays of the
+grid's size, set from measurement with some headroom: on the terrain path
+the output, a mask and the value check of the result; on the colour path
+the 24 B/px Lab output plus band temporaries (``rgb_to_lab``), the label
+maps and the components grid (``merge_small_regions``), and SLIC's planes,
+pixel grids and assignment buffers, freed before its merge (``slic``).
 ``LabelMap.region_sizes`` has an absolute bound instead: its table follows
 the labels present, not the largest label.
 """
@@ -15,10 +19,15 @@ import pytest
 from spoilseg import (
     FormatError,
     LabelMap,
+    RasterRGB,
     ScalarGrid,
+    SlicParams,
     hillshade,
+    merge_small_regions,
     read_asc_grid,
+    rgb_to_lab,
     sigmoidal_stretch,
+    slic,
     synth_pilefield,
     write_asc_grid,
 )
@@ -37,6 +46,27 @@ def holed_dsm(dsm):
     values = dsm.values.copy()
     values[100:110, 200:210] = -9999.0
     return ScalarGrid(values, nodata=-9999.0)
+
+
+@pytest.fixture(scope="module")
+def ortho(dsm):
+    """An RGB ramp over the DSM's heights with pixel noise, like an orthomosaic of the piles."""
+    v = dsm.values
+    t = ((v - v.min()) / (v.max() - v.min()))[..., None]
+    rng = np.random.default_rng(0)
+    rgb = np.array([96.0, 78.0, 60.0]) + np.array([104.0, 112.0, 110.0]) * t + rng.normal(0, 7, (N, N, 3))
+    return RasterRGB(np.clip(np.rint(rgb), 0, 255).astype(np.uint8))
+
+
+@pytest.fixture(scope="module")
+def superpixel_map():
+    """A 13x13 grid of 42-pixel cells with borders jittered by up to 3 pixels,
+    as SLIC leaves them before its merge: ragged edges and stray fragments."""
+    rng = np.random.default_rng(0)
+    ys, xs = np.mgrid[0:N, 0:N]
+    jy, jx = rng.integers(-3, 4, size=(2, N, N))
+    ys, xs = np.clip(ys + jy, 0, N - 1), np.clip(xs + jx, 0, N - 1)
+    return LabelMap(((ys // 42) * 13 + xs // 42 + 1).astype(np.int32))
 
 
 def peak_bytes_per_pixel(stage) -> float:
@@ -83,6 +113,19 @@ def test_hillshade_with_nodata(holed_dsm):
 
 def test_sigmoidal_stretch_with_nodata(holed_dsm):
     assert peak_bytes_per_pixel(lambda: sigmoidal_stretch(holed_dsm)) <= 12
+
+
+def test_rgb_to_lab(ortho):
+    assert peak_bytes_per_pixel(lambda: rgb_to_lab(ortho)) <= 56  # the Lab output alone is 24
+
+
+def test_merge_small_regions(superpixel_map):
+    assert peak_bytes_per_pixel(lambda: merge_small_regions(superpixel_map, 43)) <= 46
+
+
+def test_slic(ortho):
+    lab = rgb_to_lab(ortho)
+    assert peak_bytes_per_pixel(lambda: slic(lab, SlicParams(superpixels=150))) <= 68
 
 
 def test_region_sizes_counts_only_the_labels_present():

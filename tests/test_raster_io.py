@@ -82,8 +82,13 @@ class TestPpm:
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(11))
-        with pytest.raises(FormatError, match="truncated pixel payload"):
+        with pytest.raises(FormatError, match="^truncated pixel payload: expected 12 bytes, got 11$"):
             read_ppm(path)
+
+    def test_bytes_after_the_payload_are_ignored(self, tmp_path):
+        path = tmp_path / "long.ppm"
+        path.write_bytes(b"P6\n1 1\n255\n" + bytes([1, 2, 3, 4, 5]))
+        assert read_ppm(path).pixels.tolist() == [[[1, 2, 3]]]
 
     def test_unsupported_maxval(self, tmp_path):
         path = tmp_path / "deep.ppm"
@@ -142,8 +147,13 @@ class TestPgm16:
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(7))
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match="^truncated pixel payload: expected 8 bytes, got 7$"):
             read_pgm16(path)
+
+    def test_bytes_after_the_payload_are_ignored(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n2 1\n65535\n" + bytes([0, 1, 1, 0, 9]))
+        assert read_pgm16(path).labels.tolist() == [[1, 256]]
 
     def test_write_single_label_payload(self, tmp_path):
         path = tmp_path / "seven.pgm"

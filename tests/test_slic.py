@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from oracles import (
     absorb_small_components,
+    boundary_table_concat,
     flood_fill_components,
     nearest_center_exhaustive,
     seed_centers_loop,
     slic_assign_loop,
 )
-from spoilseg import LabelMap, LabImage, SlicParams, merge_small_regions, slic
+from spoilseg import LabelMap, LabImage, SlicParams, merge_small_regions, relabel_connected, slic
+from spoilseg.labels import _boundary_table
 from spoilseg.slic import _seed_centers, slic_assign
 
 slic_module = importlib.import_module("spoilseg.slic")  # the package's `slic` is the function
@@ -237,3 +239,32 @@ class TestEnforceConnectivity:
         ours = merge_small_regions(LabelMap(lab), min_size=min_size, colors=colors)
         oracle = absorb_small_components(lab, min_size=min_size, colors=colors)
         assert np.array_equal(ours.labels, oracle)
+
+
+class TestBoundaryTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(1, 24),
+        w=st.integers(1, 24),
+        k=st.integers(1, 8),
+        connected=st.booleans(),
+    )
+    def test_matches_concatenated_pairs_oracle(self, seed, h, w, k, connected):
+        rng = np.random.default_rng(seed)
+        lab = rng.integers(0, k + 1, size=(h, w)).astype(np.int32)
+        if connected:
+            lab = relabel_connected(LabelMap(lab)).labels
+        n = int(lab.max()) + 1
+        assert _boundary_table(lab, n) == boundary_table_concat(lab, n)
+
+    def test_pair_keys_do_not_overflow_past_46341_regions(self):
+        # 100,000 one-pixel regions: lo * n + hi reaches 1e10, past int32
+        lab = relabel_connected(LabelMap((np.arange(100_000, dtype=np.int32) % 2 + 1)[None, :])).labels
+        n = int(lab.max()) + 1
+        assert n * n > 2**31
+        table = _boundary_table(lab, n)
+        assert table[1] == {2: 1}
+        assert table[70_000] == {69_999: 1, 70_001: 1}
+        assert table[100_000] == {99_999: 1}
+        assert table == boundary_table_concat(lab, n)
