@@ -15,14 +15,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .grids import LabelMap
+from .grids import LabelMap, _check_field
 
 
 def _as_fraction(t: float | Fraction) -> Fraction:
-    if isinstance(t, Fraction):
-        return t
+    """The overlap threshold, a number in (0, 1], as an exact fraction."""
+    _check_field("threshold", t, float, {"gt": 0, "le": 1})
     # str() keeps the decimal the caller wrote (0.51 -> 51/100)
-    return Fraction(str(t))
+    return t if isinstance(t, Fraction) else Fraction(str(t))
 
 
 @dataclass
@@ -90,31 +90,57 @@ class HooverScores:
         return out
 
 
-def overlap_table(gt: LabelMap, ms: LabelMap) -> OverlapTable:
-    """Single-pass pixel tally of region sizes and pairwise intersections.
+def _sizes(ids: np.ndarray, counts: np.ndarray) -> dict[int, int]:
+    """Pixel count per positive id, from (id, count) pairs sorted by id."""
+    first = np.flatnonzero(np.diff(ids, prepend=-1))
+    return {i: c for i, c in zip(ids[first].tolist(), np.add.reduceat(counts, first).tolist()) if i > 0}
 
+
+def overlap_table(gt: LabelMap, ms: LabelMap) -> OverlapTable:
+    """Region sizes and pairwise intersections from one sort of the pixels.
+
+    Every pixel's (gt, ms) pair is one int64 key; the counts of the distinct
+    keys give the overlaps and, summed per label, both sides' region sizes.
     Background (label 0) is excluded on both sides.
     """
     if gt.labels.shape != ms.labels.shape:
         raise ValueError("ground truth and machine maps differ in size")
-    g = gt.labels.ravel().astype(np.int64)
-    m = ms.labels.ravel().astype(np.int64)
-
-    gt_ids, gt_counts = np.unique(g[g > 0], return_counts=True)
-    ms_ids, ms_counts = np.unique(m[m > 0], return_counts=True)
-
+    base = int(ms.labels.max()) + 1
+    # int32 labels on both sides keep every key below 2**62, exact in int64
+    keys, counts = np.unique(gt.labels.astype(np.int64) * base + ms.labels, return_counts=True)
+    g, m = np.divmod(keys, base)
+    order = np.argsort(m, kind="stable")
     both = (g > 0) & (m > 0)
-    base = int(m.max()) + 1
-    key = g[both] * base + m[both]
-    pairs, pair_counts = np.unique(key, return_counts=True)
-    overlaps = {
-        (int(k // base), int(k % base)): int(c) for k, c in zip(pairs, pair_counts)
-    }
+    pairs = zip(g[both].tolist(), m[both].tolist(), counts[both].tolist())
     return OverlapTable(
-        gt_sizes={int(i): int(c) for i, c in zip(gt_ids, gt_counts)},
-        ms_sizes={int(i): int(c) for i, c in zip(ms_ids, ms_counts)},
-        overlaps=overlaps,
+        gt_sizes=_sizes(g, counts),
+        ms_sizes=_sizes(m[order], counts[order]),
+        overlaps={(i, j): c for i, j, c in pairs},
     )
+
+
+def _instances(overlaps, own_sizes, other_sizes, free_own: set[int], free_other: set[int], T: Fraction) -> list:
+    """Over-segmentation instances among the free regions, scanning ``own``
+    ids ascending; with the gt and ms sides swapped, under-segmentation.
+
+    An own region takes every free other region with at least T of its
+    pixels inside it, when there are two or more and together they cover T
+    of it.  The regions taken leave ``free_own`` and ``free_other``.
+    """
+    p, q = T.numerator, T.denominator
+    shares: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), ov in overlaps:
+        if ov * q >= p * other_sizes[b]:
+            shares.setdefault(a, []).append((b, ov))
+    found = []
+    for a in sorted(free_own):
+        members = sorted((b, ov) for b, ov in shares.get(a, ()) if b in free_other)
+        if len(members) >= 2 and sum(ov for _, ov in members) * q >= p * own_sizes[a]:
+            ids = tuple(b for b, _ in members)
+            found.append((a, ids))
+            free_own.remove(a)
+            free_other.difference_update(ids)
+    return found
 
 
 def hoover_classify(table: OverlapTable, threshold: float | Fraction = 0.5) -> HooverClassification:
@@ -126,9 +152,6 @@ def hoover_classify(table: OverlapTable, threshold: float | Fraction = 0.5) -> H
     over instances scan gt ids ascending, under instances ms ids ascending.
     """
     T = _as_fraction(threshold)
-    if not (0 < T <= 1):
-        raise ValueError("threshold must lie in (0, 1]")
-
     gt_sizes, ms_sizes, overlaps = table.gt_sizes, table.ms_sizes, table.overlaps
     for (gi, mi), ov in overlaps.items():
         if ov > min(gt_sizes.get(gi, 0), ms_sizes.get(mi, 0)):
@@ -152,34 +175,9 @@ def hoover_classify(table: OverlapTable, threshold: float | Fraction = 0.5) -> H
             free_gt.remove(gi)
             free_ms.remove(mi)
 
-    by_gt: dict[int, list[int]] = {}
-    by_ms: dict[int, list[int]] = {}
-    for gi, mi in overlaps:
-        by_gt.setdefault(gi, []).append(mi)
-        by_ms.setdefault(mi, []).append(gi)
-
-    for gi in sorted(free_gt):
-        members = sorted(
-            mi
-            for mi in by_gt.get(gi, [])
-            if mi in free_ms and overlaps[(gi, mi)] * q >= p * ms_sizes[mi]
-        )
-        if len(members) >= 2 and sum(overlaps[(gi, mi)] for mi in members) * q >= p * gt_sizes[gi]:
-            result.over_instances.append((gi, tuple(members)))
-            free_gt.remove(gi)
-            free_ms.difference_update(members)
-
-    for mi in sorted(free_ms):
-        members = sorted(
-            gi
-            for gi in by_ms.get(mi, [])
-            if gi in free_gt and overlaps[(gi, mi)] * q >= p * gt_sizes[gi]
-        )
-        if len(members) >= 2 and sum(overlaps[(gi, mi)] for gi in members) * q >= p * ms_sizes[mi]:
-            result.under_instances.append((mi, tuple(members)))
-            free_ms.remove(mi)
-            free_gt.difference_update(members)
-
+    result.over_instances = _instances(overlaps.items(), gt_sizes, ms_sizes, free_gt, free_ms, T)
+    swapped = (((mi, gi), ov) for (gi, mi), ov in overlaps.items())
+    result.under_instances = _instances(swapped, ms_sizes, gt_sizes, free_ms, free_gt, T)
     result.missed_gt = sorted(free_gt)
     result.noise_ms = sorted(free_ms)
     return result
@@ -195,9 +193,6 @@ def hoover_bruteforce(table: OverlapTable, threshold: float | Fraction = 0.5) ->
     if len(table.gt_sizes) > 6 or len(table.ms_sizes) > 6:
         raise ValueError("instance too large for brute-force enumeration")
     T = _as_fraction(threshold)
-    if not (0 < T <= 1):
-        raise ValueError("threshold must lie in (0, 1]")
-
     gt_sizes, ms_sizes, overlaps = table.gt_sizes, table.ms_sizes, table.overlaps
 
     def ov(gi: int, mi: int) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 from itertools import product
@@ -22,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from .colorspace import rgb_to_lab
 from .grids import LabelMap, _check_field
-from .hoover import HooverScores, evaluate_segmentation
+from .hoover import HooverScores, _as_fraction, evaluate_segmentation
 from .labels import drop_small_regions, relabel_connected
 from .meanshift import MeanShiftParams, mean_shift_segment
 from .raster_io import read_gray_pgm16, read_pgm16, read_ppm
@@ -105,9 +104,7 @@ class SweepConfig:
         for name in list(self.grid) + list(self.base_params):
             if name not in known:
                 raise ValueError(f"unknown parameter {name!r} for {self.algorithm}")
-        t = self.threshold
-        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 < t <= 1:
-            raise ValueError(f"threshold must be a number in (0, 1], got {t!r}")
+        _as_fraction(self.threshold)
         for key in ("ground_truth", algo.input_key):
             value = getattr(self, key)
             if value is None:
@@ -184,14 +181,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             row.error = f"{type(exc).__name__}: {exc}"
         rows.append(row)
 
-    optimum_index = None
-    best = None
-    for i, row in enumerate(rows):
-        if row.scores is None:
-            continue
-        if best is None or row.scores.correct_detection > best:
-            best = row.scores.correct_detection
-            optimum_index = i
+    scored = [i for i, row in enumerate(rows) if row.scores is not None]
+    optimum_index = max(scored, key=lambda i: rows[i].scores.correct_detection, default=None)  # first max wins
     return SweepReport(
         algorithm=cfg.algorithm,
         threshold=cfg.threshold,

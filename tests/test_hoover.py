@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import hoover_classify_fractions
 from spoilseg import (
+    HooverClassification,
     LabelMap,
     OverlapTable,
     evaluate_segmentation,
@@ -56,9 +57,13 @@ class TestOverlapTable:
             overlap_table(LabelMap(np.ones((2, 2), dtype=np.int32)), LabelMap(np.ones((3, 2), dtype=np.int32)))
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_matches_per_pixel_tally(self, seed):
+    @given(seed=st.integers(0, 2**32 - 1), top=st.sampled_from([None, 2**31 - 1]))
+    def test_matches_per_pixel_tally(self, seed, top):
         gt, ms = random_maps(seed)
+        if top is not None:
+            # labels near the int32 top: the joint keys pass 2**53, beyond exact float64
+            gt = LabelMap(np.where(gt.labels > 0, top - gt.labels, 0))
+            ms = LabelMap(np.where(ms.labels > 0, top - 2 * ms.labels, 0))
         t = overlap_table(gt, ms)
         sizes_gt, sizes_ms, overlaps = {}, {}, {}
         for y in range(8):
@@ -129,10 +134,14 @@ class TestClassify:
 
     def test_threshold_bounds(self):
         t = OverlapTable(gt_sizes={1: 4}, ms_sizes={1: 4}, overlaps={(1, 1): 4})
-        with pytest.raises(ValueError):
-            hoover_classify(t, 0.0)
-        with pytest.raises(ValueError):
-            hoover_classify(t, 1.5)
+        one_missed = HooverClassification(missed_gt=[1])
+        for bad in (0.0, 1.5, Fraction(3, 2), "0.5", True, float("nan")):
+            with pytest.raises(ValueError, match="threshold"):
+                hoover_classify(t, bad)
+            with pytest.raises(ValueError, match="threshold"):
+                hoover_bruteforce(t, bad)
+            with pytest.raises(ValueError, match="threshold"):
+                hoover_scores(one_missed, 1, 0, bad)
 
     def test_exact_decimal_threshold_comparison(self):
         # overlap 51 of size 100 must pass T = 0.51 exactly
@@ -192,8 +201,6 @@ class TestScores:
         assert s.correct_detection == 0
 
     def test_zero_gt_rejected(self):
-        from spoilseg import HooverClassification
-
         with pytest.raises(ValueError, match="^ground truth has no regions$"):
             hoover_scores(HooverClassification(), 0, 0)
 

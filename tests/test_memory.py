@@ -7,6 +7,9 @@ the output, a mask and the value check of the result; on the colour path
 the 24 B/px Lab output plus band temporaries (``rgb_to_lab``), the label
 maps and the components grid (``merge_small_regions``), and SLIC's planes,
 pixel grids and assignment buffers, freed before its merge (``slic``).
+``evaluate_segmentation`` of the pile field's ground truth against a
+full-frame map peaks at 18 B/px: one int64 key per pixel and the sorted
+copy ``np.unique`` makes of it.
 ``LabelMap.region_sizes`` has an absolute bound instead: its table follows
 the labels present, not the largest label.
 """
@@ -22,6 +25,7 @@ from spoilseg import (
     RasterRGB,
     ScalarGrid,
     SlicParams,
+    evaluate_segmentation,
     hillshade,
     merge_small_regions,
     read_asc_grid,
@@ -36,8 +40,13 @@ N = 512
 
 
 @pytest.fixture(scope="module")
-def dsm():
-    return synth_pilefield(N, N, 16, 12.0, 1)[0]
+def pilefield():
+    return synth_pilefield(N, N, 16, 12.0, 1)
+
+
+@pytest.fixture(scope="module")
+def dsm(pilefield):
+    return pilefield[0]
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +135,12 @@ def test_merge_small_regions(superpixel_map):
 def test_slic(ortho):
     lab = rgb_to_lab(ortho)
     assert peak_bytes_per_pixel(lambda: slic(lab, SlicParams(superpixels=150))) <= 68
+
+
+def test_evaluate_segmentation(pilefield, superpixel_map):
+    gt = pilefield[1]
+    # the int64 pixel keys and np.unique's sorted copy of them are 16
+    assert peak_bytes_per_pixel(lambda: evaluate_segmentation(gt, superpixel_map, 0.5)) <= 22
 
 
 def test_region_sizes_counts_only_the_labels_present():
