@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .hoover import hoover_classify, hoover_scores, overlap_table
+from .hoover import _evaluate
 from .labels import relabel_connected
 from .raster_io import (
     read_asc_grid,
@@ -42,16 +42,17 @@ def _params(cls: type, args: argparse.Namespace):
 
 
 def _cmd_hillshade(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    suffix = out.suffix.lower()
+    if suffix not in (".asc", ".pgm"):
+        raise ValueError(f"unsupported output extension {out.suffix!r} (use .asc or .pgm)")
     dsm = read_asc_grid(args.dsm)
     shade = hillshade(dsm, _params(HillshadeParams, args))
     stretched = sigmoidal_stretch(shade, _params(StretchParams, args))
-    out = Path(args.out)
-    if out.suffix.lower() == ".asc":
+    if suffix == ".asc":
         write_asc_grid(stretched, out)
-    elif out.suffix.lower() == ".pgm":
-        write_gray_pgm16(quantize8(stretched), out)
     else:
-        raise ValueError(f"unsupported output extension {out.suffix!r} (use .asc or .pgm)")
+        write_gray_pgm16(quantize8(stretched), out)
     return 0
 
 
@@ -68,9 +69,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.no_relabel:
         gt = relabel_connected(gt)
         pred = relabel_connected(pred)
-    table = overlap_table(gt, pred)
-    classification = hoover_classify(table, args.threshold)
-    scores = hoover_scores(classification, len(table.gt_sizes), len(table.ms_sizes), args.threshold)
+    classification, scores = _evaluate(gt, pred, args.threshold)
     payload = scores.to_dict()
     payload["instances"] = {
         "correct_pairs": [list(p) for p in classification.correct_pairs],
@@ -107,6 +106,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise ValueError(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
+        if key in params:
+            raise ValueError(f"duplicate --param key {key!r}")
         params[key] = value
     meta = ExternalMaskMetadata(source=args.source or "", parameters=params)
     mask, info = ingest_external_mask(args.input, meta, args.min_region)

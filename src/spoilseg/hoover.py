@@ -9,6 +9,7 @@ rational arithmetic so the four ground-truth fractions sum to 1 exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -25,13 +26,49 @@ def _as_fraction(t: float | Fraction) -> Fraction:
     return t if isinstance(t, Fraction) else Fraction(str(t))
 
 
+def _is_count(v: object) -> bool:
+    """An integer >= 1, not a bool; a plain int takes the fast path."""
+    return (type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)) and v >= 1
+
+
 @dataclass
 class OverlapTable:
-    """Pixel-overlap contingency between ground-truth and machine regions."""
+    """Pixel-overlap contingency between ground-truth and machine regions.
+
+    Construction checks the contract in one pass over the dicts: ids, sizes
+    and overlaps are integers >= 1 (not bools), each overlap names a region
+    of both size dicts, and a region's overlaps sum to no more than its
+    size.  Any failure is a ``ValueError``.
+    """
 
     gt_sizes: dict[int, int]
     ms_sizes: dict[int, int]
     overlaps: dict[tuple[int, int], int]
+
+    def __post_init__(self) -> None:
+        sides = {"gt": self.gt_sizes, "ms": self.ms_sizes}
+        for side, sizes in sides.items():
+            for i, n in sizes.items():
+                if not (_is_count(i) and _is_count(n)):
+                    raise ValueError(f"{side}_sizes must map integer ids >= 1 to integer sizes >= 1, got {i!r}: {n!r}")
+        # what each region's size leaves after the overlaps seen so far
+        gt_left, ms_left = dict(self.gt_sizes), dict(self.ms_sizes)
+        try:
+            for (gi, mi), ov in self.overlaps.items():
+                if not (_is_count(ov) and _is_count(gi) and _is_count(mi)):
+                    raise ValueError(f"overlaps must map id pairs to integers >= 1, got {(gi, mi)!r}: {ov!r}")
+                if gi not in gt_left or mi not in ms_left:
+                    side = "gt" if gi not in gt_left else "ms"
+                    raise ValueError(f"overlap {(gi, mi)!r} names a region missing from {side}_sizes")
+                gt_left[gi] -= ov
+                ms_left[mi] -= ov
+        except TypeError as exc:  # a key that does not unpack into two ids
+            raise ValueError(f"overlaps must be keyed by (gt id, ms id) pairs: {exc}") from None
+        for side, left in (("gt", gt_left), ("ms", ms_left)):
+            for i, rest in left.items():
+                if rest < 0:
+                    size = sides[side][i]
+                    raise ValueError(f"the overlaps of {side} region {i} sum to {size - rest}, above its size {size}")
 
 
 @dataclass
@@ -153,10 +190,6 @@ def hoover_classify(table: OverlapTable, threshold: float | Fraction = 0.5) -> H
     """
     T = _as_fraction(threshold)
     gt_sizes, ms_sizes, overlaps = table.gt_sizes, table.ms_sizes, table.overlaps
-    for (gi, mi), ov in overlaps.items():
-        if ov > min(gt_sizes.get(gi, 0), ms_sizes.get(mi, 0)):
-            raise ValueError("overlap exceeds a region size")
-
     free_gt = set(gt_sizes)
     free_ms = set(ms_sizes)
     result = HooverClassification()
@@ -262,9 +295,14 @@ def hoover_scores(
 ) -> HooverScores:
     """Normalise classification counts into the five scores.
 
-    Ground-truth-side fractions use n_gt; the noise fraction uses n_ms
-    (0 when there are no machine regions).
+    ``n_gt`` and ``n_ms`` are integers (not bools) equal to the regions the
+    classification places on each side: gt in correct pairs, over instances,
+    under-instance members and missed; ms in correct pairs, over-instance
+    members, under instances and noise.  Ground-truth-side fractions use
+    n_gt; the noise fraction uses n_ms (0 when there are no machine regions).
     """
+    _check_field("n_gt", n_gt, int, {})
+    _check_field("n_ms", n_ms, int, {})
     if n_gt <= 0:
         raise ValueError("ground truth has no regions")
     T = _as_fraction(threshold)
@@ -273,8 +311,14 @@ def hoover_scores(
     under = sum(len(members) for _, members in classification.under_instances)
     missed = len(classification.missed_gt)
     noise = len(classification.noise_ms)
+    over_members = sum(len(members) for _, members in classification.over_instances)
+    placed_ms = correct + over_members + len(classification.under_instances) + noise
+    for name, n, placed in (("n_gt", n_gt, correct + over + under + missed), ("n_ms", n_ms, placed_ms)):
+        if n != placed:
+            raise ValueError(f"{name} must equal the {placed} regions the classification places on its side, got {n}")
 
-    scores = HooverScores(
+    # the four gt-side counts sum to n_gt, so their fractions sum to 1 exactly
+    return HooverScores(
         correct_detection=Fraction(correct, n_gt),
         over_segmentation=Fraction(over, n_gt),
         under_segmentation=Fraction(under, n_gt),
@@ -289,21 +333,22 @@ def hoover_scores(
         n_ms=n_ms,
         threshold=T,
     )
-    total = (
-        scores.correct_detection
-        + scores.over_segmentation
-        + scores.under_segmentation
-        + scores.missed
-    )
-    if total != 1:
-        raise RuntimeError(f"ground-truth fractions sum to {total}, not 1")
-    return scores
+
+
+def _evaluate(
+    gt: LabelMap, ms: LabelMap, threshold: float | Fraction
+) -> tuple[HooverClassification, HooverScores]:
+    """Overlap table, classification and scores: the one scoring path of
+    :func:`evaluate_segmentation` and the ``evaluate`` command.  Region
+    counts come from the table."""
+    T = _as_fraction(threshold)
+    table = overlap_table(gt, ms)
+    classification = hoover_classify(table, T)
+    return classification, hoover_scores(classification, len(table.gt_sizes), len(table.ms_sizes), T)
 
 
 def evaluate_segmentation(
     gt: LabelMap, ms: LabelMap, threshold: float | Fraction = 0.5
 ) -> HooverScores:
     """Overlap table, classification and scores in one call."""
-    table = overlap_table(gt, ms)
-    classification = hoover_classify(table, threshold)
-    return hoover_scores(classification, len(table.gt_sizes), len(table.ms_sizes), threshold)
+    return _evaluate(gt, ms, threshold)[1]

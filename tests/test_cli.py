@@ -19,10 +19,12 @@ from spoilseg import (
     StretchParams,
     SweepConfig,
     VoronoiParams,
+    evaluate_segmentation,
     quantize8,
     read_asc_grid,
     read_gray_pgm16,
     read_pgm16,
+    relabel_connected,
     run_sweep,
     sigmoidal_stretch,
     synth_pilefield,
@@ -86,6 +88,15 @@ class TestSynthAndHillshade:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+
+    def test_hillshade_checks_extension_before_reading(self, tmp_path, capsys):
+        # the DSM does not exist: the extension error shows it was never read
+        code = main(["hillshade", "--dsm", str(tmp_path / "missing.asc"), "--out", str(tmp_path / "x.tif")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "unsupported output extension '.tif' (use .asc or .pgm)",
+        }
 
     def test_hillshade_huge_header_fails_cleanly(self, tmp_path, capsys):
         dsm = tmp_path / "huge.asc"
@@ -179,6 +190,23 @@ class TestEvaluate:
             assert main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), *flags]) == 0
             n_ms.append(json.loads(capsys.readouterr().out)["counts"]["n_ms"])
         assert n_ms == [2, 1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("threshold", [0.5, 0.51, 0.8])
+    def test_report_is_the_library_scores_plus_instances(self, tmp_path, capsys, seed, threshold):
+        rng = np.random.default_rng(seed)
+        # blocky maps with repeated and split labels, so relabelling changes them
+        gt = LabelMap(np.kron(rng.integers(0, 6, size=(6, 6)), np.ones((3, 3), dtype=np.int64)))
+        pred = LabelMap(np.kron(rng.integers(0, 9, size=(9, 9)), np.ones((2, 2), dtype=np.int64)))
+        gt_path, pred_path = tmp_path / "gt.pgm", tmp_path / "pred.pgm"
+        write_pgm16(gt, gt_path)
+        write_pgm16(pred, pred_path)
+        argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--threshold", str(threshold)]
+        for flags, maps in (([], (relabel_connected(gt), relabel_connected(pred))), (["--no-relabel"], (gt, pred))):
+            assert main([*argv, *flags]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert set(payload.pop("instances")) == {"correct_pairs", "over", "under", "missed_gt", "noise_ms"}
+            assert payload == evaluate_segmentation(*maps, threshold).to_dict()
 
     def test_dimension_mismatch_fails_cleanly(self, synth_files, tmp_path, capsys):
         _, gt, _ = synth_files
@@ -391,6 +419,16 @@ class TestIngestCli:
         code = main(["ingest", "--in", str(src), "--out", str(tmp_path / "o.pgm"), "--param", "oops"])
         assert code == 1
         assert "key=value" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_duplicate_param_key(self, tmp_path, capsys):
+        src = tmp_path / "mask.pgm"
+        write_pgm16(LabelMap(np.ones((4, 4), dtype=np.int32)), src)
+        out, report = tmp_path / "o.pgm", tmp_path / "meta.json"
+        argv = ["ingest", "--in", str(src), "--out", str(out), "--param", "a=1", "--param", "a=2"]
+        assert main([*argv, "--report", str(report)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "duplicate --param key 'a'"}
+        assert not out.exists() and not report.exists()
 
     def test_negative_min_region(self, tmp_path, capsys):
         src = tmp_path / "mask.pgm"

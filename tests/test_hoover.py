@@ -80,6 +80,58 @@ class TestOverlapTable:
         assert t.overlaps == overlaps
 
 
+# (gt_sizes, ms_sizes, overlaps, message) of tables the OverlapTable contract refuses
+BAD_TABLES = [
+    pytest.param({1: 4}, {1: 4}, {(1, 9): 0}, r"integers >= 1, got \(1, 9\): 0$", id="zero-overlap-unknown-id"),
+    pytest.param({1: 4}, {1: 4}, {(1, 1): -1}, r"integers >= 1, got \(1, 1\): -1$", id="negative-overlap"),
+    pytest.param(
+        {1: 4, 2: 4}, {1: 4}, {(1, 1): 4, (2, 1): 4}, "^the overlaps of ms region 1 sum to 8, above its size 4$",
+        id="overlaps-above-size",
+    ),
+    pytest.param({1: 4}, {1: 0}, {}, "^ms_sizes must map integer ids >= 1 to integer sizes >= 1, got 1: 0$",
+                 id="zero-size"),
+    pytest.param({1: 4}, {1: 4}, {(1, 1): 2.0}, r"integers >= 1, got \(1, 1\): 2.0$", id="float-overlap"),
+    pytest.param({1: True}, {1: 4}, {}, "^gt_sizes must map .*, got 1: True$", id="bool-size"),
+    pytest.param({0: 4}, {1: 4}, {}, "^gt_sizes must map .*, got 0: 4$", id="zero-id"),
+    pytest.param({1: 4}, {1: 4}, {(1, 2): 1}, r"^overlap \(1, 2\) names a region missing from ms_sizes$",
+                 id="unknown-id"),
+    pytest.param({1: 4}, {1: 4}, {(True, 1): 1}, r"got \(True, 1\): 1$", id="bool-id"),
+    pytest.param({1: 4}, {1: 4}, {1: 1}, "keyed by \\(gt id, ms id\\) pairs", id="unpaired-key"),
+]
+
+
+THREE_NOISE = HooverClassification(missed_gt=[1], noise_ms=[1, 2, 3])
+
+
+class TestTableContract:
+    @pytest.mark.parametrize("classify", [hoover_classify, hoover_bruteforce])
+    @pytest.mark.parametrize("gt_sizes, ms_sizes, overlaps, message", BAD_TABLES)
+    def test_bad_tables_refused(self, classify, gt_sizes, ms_sizes, overlaps, message):
+        with pytest.raises(ValueError, match=message):
+            classify(OverlapTable(gt_sizes, ms_sizes, overlaps), 0.5)
+
+    def test_numpy_integers_pass(self):
+        t = OverlapTable({np.int64(1): np.int32(4)}, {1: 4}, {(1, np.uint8(1)): np.int64(4)})
+        assert hoover_classify(t, 0.5).correct_pairs == [(1, 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        side=st.integers(1, 16),
+        max_regions=st.integers(0, 12),
+        top=st.sampled_from([None, 2**31 - 1]),
+    )
+    def test_built_tables_pass(self, seed, side, max_regions, top):
+        gt, ms = random_maps(seed, side, max_regions)
+        if top is not None:
+            gt = LabelMap(np.where(gt.labels > 0, top - gt.labels, 0))
+        t = overlap_table(gt, ms)  # its construction runs the contract
+        # plain ints throughout, so the contract's per-value check stays on its fast path
+        ids = [*t.gt_sizes, *t.ms_sizes, *(i for pair in t.overlaps for i in pair)]
+        assert all(type(v) is int for v in [*ids, *t.gt_sizes.values(), *t.ms_sizes.values(), *t.overlaps.values()])
+        assert OverlapTable(t.gt_sizes, t.ms_sizes, t.overlaps) == t
+
+
 class TestClassify:
     def test_identity_all_correct(self):
         lab = np.arange(1, 10, dtype=np.int32).reshape(3, 3)
@@ -203,6 +255,33 @@ class TestScores:
     def test_zero_gt_rejected(self):
         with pytest.raises(ValueError, match="^ground truth has no regions$"):
             hoover_scores(HooverClassification(), 0, 0)
+
+    @pytest.mark.parametrize(
+        "classification, n_gt, n_ms, message",
+        [
+            (THREE_NOISE, 1, 1, "^n_ms must equal the 3 regions .*, got 1$"),
+            (THREE_NOISE, 1, 0, "^n_ms must equal the 3 regions .*, got 0$"),
+            (THREE_NOISE, 2, 3, "^n_gt must equal the 1 regions .*, got 2$"),
+            (HooverClassification(missed_gt=[1]), True, 0, "^n_gt must be an integer, got True$"),
+            (HooverClassification(missed_gt=[1]), 1.0, 0, "^n_gt must be an integer, got 1.0$"),
+            (HooverClassification(missed_gt=[1]), 1, False, "^n_ms must be an integer, got False$"),
+            # an over instance places one gt and its members on the ms side; an under instance the reverse
+            (HooverClassification(over_instances=[(1, (1, 2, 3))]), 1, 1, "^n_ms must equal the 3 regions"),
+            (HooverClassification(under_instances=[(1, (1, 2))]), 1, 1, "^n_gt must equal the 2 regions"),
+        ],
+    )
+    def test_counts_must_match_the_classification(self, classification, n_gt, n_ms, message):
+        with pytest.raises(ValueError, match=message):
+            hoover_scores(classification, n_gt, n_ms)
+
+    def test_matching_counts_score(self):
+        c = HooverClassification(
+            correct_pairs=[(1, 1)], over_instances=[(2, (2, 3))], under_instances=[(4, (3, 4))], noise_ms=[5]
+        )
+        s = hoover_scores(c, 4, 5)
+        assert (s.correct_detection, s.over_segmentation, s.under_segmentation, s.noise) == (
+            Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(1, 5)
+        )
 
     def test_empty_ground_truth_rejected_by_evaluate(self):
         gt = LabelMap(np.zeros((4, 4), dtype=np.int32))
