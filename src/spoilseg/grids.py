@@ -157,7 +157,8 @@ class ScalarGrid(_Raster):
 
     ``cellsize`` is the ground size of one pixel.  Cells holding exactly the
     ``nodata`` sentinel are treated as missing and excluded from statistics;
-    every other value must be finite.
+    every other value must be finite.  The sentinel may not be NaN, which no
+    cell can equal.
     """
 
     _form = _Form(np.float64, "iuf", (_FINITE,))
@@ -167,7 +168,7 @@ class ScalarGrid(_Raster):
 
     def __post_init__(self) -> None:
         _check_field("cellsize", self.cellsize, float | None, {"gt": 0, "lt": math.inf})
-        _check_field("nodata", self.nodata, float | None, {})
+        _check_field("nodata", self.nodata, float | None, {"ge": -math.inf})  # NaN fails
         _check_raster(self, skip=self.nodata)
 
     @property

@@ -10,6 +10,8 @@ rational arithmetic so the four ground-truth fractions sum to 1 exactly.
 from __future__ import annotations
 
 import numbers
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -31,21 +33,24 @@ def _is_count(v: object) -> bool:
     return (type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)) and v >= 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class OverlapTable:
     """Pixel-overlap contingency between ground-truth and machine regions.
 
-    Construction checks the contract in one pass over the dicts: ids, sizes
-    and overlaps are integers >= 1 (not bools), each overlap names a region
-    of both size dicts, and a region's overlaps sum to no more than its
-    size.  Any failure is a ``ValueError``.
+    Construction stores read-only copies of the three mappings and checks the
+    contract in one pass over them: ids, sizes and overlaps are integers >= 1
+    (not bools), each overlap names a region of both size mappings, and a
+    region's overlaps sum to no more than its size.  Any failure is a
+    ``ValueError``.  The table is frozen, so the contract holds for its life.
     """
 
-    gt_sizes: dict[int, int]
-    ms_sizes: dict[int, int]
-    overlaps: dict[tuple[int, int], int]
+    gt_sizes: Mapping[int, int]
+    ms_sizes: Mapping[int, int]
+    overlaps: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
+        for name in ("gt_sizes", "ms_sizes", "overlaps"):
+            object.__setattr__(self, name, types.MappingProxyType(dict(getattr(self, name))))
         sides = {"gt": self.gt_sizes, "ms": self.ms_sizes}
         for side, sizes in sides.items():
             for i, n in sizes.items():

@@ -17,7 +17,7 @@ import heapq
 import numpy as np
 from scipy import ndimage
 
-from .grids import LabelMap
+from .grids import LabelMap, _check_field
 
 def _pixel_components(nodes: np.ndarray, right: np.ndarray, down: np.ndarray) -> np.ndarray:
     """4-connected components of a pixel graph, numbered 1..K in raster order.
@@ -58,8 +58,9 @@ def drop_small_regions(label_map: LabelMap, min_size: int) -> LabelMap:
     On a :func:`relabel_connected` map this is the relabel of the zeroed map,
     bit for bit: zeroing whole regions neither splits nor joins a survivor.
     Pixel counts are indexed by label, so a label above the pixel count is
-    refused; relabel such a map first.
+    refused; relabel such a map first.  ``min_size`` is an integer >= 0.
     """
+    _check_field("min_size", min_size, int, {"ge": 0})
     lab = label_map.labels
     top = int(lab.max())
     if top > lab.size:
@@ -101,8 +102,9 @@ def merge_small_regions(
     sharing the longest boundary; ties go to the lower id.  Background never
     merges and a region without neighbours is left alone.  Stops when every
     region reaches min_size or one region remains; the result is renumbered
-    1..K in raster-scan order.
+    1..K in raster-scan order.  ``min_size`` is an integer >= 0.
     """
+    _check_field("min_size", min_size, int, {"ge": 0})
     current = relabel_connected(label_map)
     labels = current.labels
     n = int(labels.max()) + 1

@@ -28,7 +28,7 @@ from .labels import merge_small_regions
 @dataclass
 class SlicParams:
     superpixels: int = _param(550, ge=1)
-    compactness: float = _param(30.0, gt=0)
+    compactness: float = _param(30.0, gt=0, lt=math.inf)
     iterations: int = _param(10, ge=1)
     min_region_size: int | None = _param(None, ge=1)  # None: quarter of the nominal area
 

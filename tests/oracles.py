@@ -499,6 +499,64 @@ def read_asc_whole(path) -> tuple[np.ndarray, float, float | None]:
     return values, cellsize, nodata
 
 
+class NetpbmFormatError(ValueError):
+    """A format fault found by ``read_netpbm_loop``."""
+
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
+    """Collect `count` whitespace-separated netpbm header tokens byte by byte,
+    skipping ``#`` comment lines.
+
+    Returns the tokens and the offset one byte past the final token.
+    """
+    tokens: list[bytes] = []
+    pos = 0
+    while len(tokens) < count:
+        while pos < len(data) and data[pos] in _WHITESPACE:
+            pos += 1
+        if pos >= len(data):
+            raise NetpbmFormatError("truncated header")
+        if data[pos] == ord("#"):
+            nl = data.find(b"\n", pos)
+            if nl == -1:
+                raise NetpbmFormatError("truncated header")
+            pos = nl + 1
+            continue
+        end = pos
+        while end < len(data) and data[end] not in _WHITESPACE and data[end] != ord("#"):
+            end += 1
+        tokens.append(data[pos:end])
+        pos = end
+    return tokens, pos
+
+
+def read_netpbm_loop(data: bytes, magic: bytes, maxval: int, channels: int, dtype: str) -> np.ndarray:
+    """The (height, width, channels) samples of a binary netpbm file's bytes,
+    with the header read by ``read_header_tokens``, or ``NetpbmFormatError``
+    for the first fault."""
+    tokens, pos = read_header_tokens(data, 4)
+    if tokens[0] != magic:
+        raise NetpbmFormatError(f"bad magic {tokens[0]!r}, expected {magic.decode()}")
+    try:
+        width, height, declared = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise NetpbmFormatError("non-numeric header field") from None
+    if width < 1 or height < 1:
+        raise NetpbmFormatError("image dimensions must be positive")
+    if pos >= len(data) or data[pos] not in _WHITESPACE:
+        raise NetpbmFormatError("missing separator before pixel payload")
+    if declared != maxval:
+        raise NetpbmFormatError(f"unsupported maxval {declared}, expected {maxval}")
+    need = width * height * channels * np.dtype(dtype).itemsize
+    if len(data) - pos - 1 < need:
+        raise NetpbmFormatError(f"truncated pixel payload: expected {need} bytes, got {len(data) - pos - 1}")
+    payload = data[pos + 1 : pos + 1 + need]
+    return np.frombuffer(payload, dtype=dtype).reshape(height, width, channels)
+
+
 def _terrain_nodata(nodata: float | None) -> float | None:
     """Output sentinel of the terrain stages: one inside [0, 1] moves to -9999."""
     if nodata is None:

@@ -144,6 +144,15 @@ class TestSegmentCommands:
         assert main(["segment", "slic", "--in", str(src), "--k", "9", "--m", "20", "--out", str(out)]) == 0
         assert read_pgm16(out).region_count() >= 1
 
+    def test_slic_refuses_infinite_compactness(self, tmp_path, capsys):
+        px = np.random.default_rng(2).integers(0, 255, size=(24, 24, 3)).astype(np.uint8)
+        src, out = tmp_path / "img.ppm", tmp_path / "slic.pgm"
+        write_ppm(RasterRGB(px), src)
+        assert main(["segment", "slic", "--in", str(src), "--k", "9", "--m", "inf", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "compactness must be < inf, got inf"}
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, classes",
         [

@@ -17,6 +17,7 @@ from spoilseg import load_sweep_config, read_asc_grid, read_gray_pgm16, read_pgm
 # four are line ends that str.splitlines honours besides \n (U+0085 in UTF-8)
 _TOKENS = [b" ", b"\n", b"0", b"-1", b"255", b"65535", b"99999999999999", b"nan", b"inf", b"1e400", b'"', b"{", b"["]
 _TOKENS += [b"\r", b"\x0c", b"\x1c", b"\xc2\x85"]
+_TOKENS += [b"#", b"# c\n", b"P5", b"P6"]  # netpbm comments and magics
 
 _SEEDS = {
     "ppm": b"P6\n2 2\n255\n" + bytes(range(12)),

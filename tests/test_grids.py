@@ -12,7 +12,17 @@ import math
 import numpy as np
 import pytest
 
-from spoilseg import FormatError, GrayImage, LabelMap, LabImage, RasterRGB, ScalarGrid, read_asc_grid
+from spoilseg import (
+    FormatError,
+    GrayImage,
+    LabelMap,
+    LabImage,
+    RasterRGB,
+    ScalarGrid,
+    drop_small_regions,
+    merge_small_regions,
+    read_asc_grid,
+)
 from spoilseg.sweep import ingest_external_mask
 
 TYPES = (RasterRGB, ScalarGrid, LabelMap, GrayImage, LabImage)
@@ -44,13 +54,14 @@ REJECTED = [
     ("grid-bool", ScalarGrid, (np.ones((2, 2), dtype=bool),), "numbers, got dtype bool"),
     ("grid-strings", ScalarGrid, (np.array([["1.5", "2"]]),), "numbers, got dtype <U3"),
 ]
-# ScalarGrid's cellsize is a finite number > 0 and its nodata a number, neither a bool
+# ScalarGrid's cellsize is a finite number > 0 and its nodata a number other than NaN, neither a bool
 REJECTED_FIELDS = [
     ("cellsize-true", {"cellsize": True}, "cellsize must be a number, got True"),
     ("cellsize-inf", {"cellsize": math.inf}, "cellsize must be < inf, got inf"),
     ("cellsize-string", {"cellsize": "1"}, "cellsize must be a number, got '1'"),
     ("nodata-true", {"nodata": True}, "nodata must be a number, got True"),
     ("nodata-string", {"nodata": "-9999"}, "nodata must be a number, got '-9999'"),
+    ("nodata-nan", {"nodata": math.nan}, "nodata must be >= -inf, got nan"),
 ]
 
 STILL_REJECTED = [
@@ -144,6 +155,25 @@ def test_asc_header_with_infinite_cellsize_is_a_format_error(tmp_path):
     path.write_text("ncols 3\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize inf\n" + "1 2 3\n" * 3)
     with pytest.raises(FormatError, match="cellsize must be < inf"):
         read_asc_grid(path)
+
+
+def test_asc_header_with_nan_nodata_is_a_format_error(tmp_path):
+    path = tmp_path / "nan.asc"
+    path.write_text("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value nan\n1 2\n")
+    with pytest.raises(FormatError, match="^nodata must be >= -inf, got nan$"):
+        read_asc_grid(path)
+
+
+@pytest.mark.parametrize(
+    "min_size, message",
+    [("3", "an integer, got '3'"), (None, "an integer, got None"), (True, "an integer, got True"),
+     (2.5, "an integer, got 2.5"), (-1, ">= 0, got -1")],
+    ids=["string", "none", "bool", "fraction", "negative"],
+)
+@pytest.mark.parametrize("step", [drop_small_regions, merge_small_regions])
+def test_small_region_steps_reject_bad_min_size(step, min_size, message):
+    with pytest.raises(ValueError, match=f"^min_size must be {message}$"):
+        step(LabelMap(np.ones((2, 2), dtype=np.int32)), min_size)
 
 
 @pytest.mark.parametrize("min_region", [-5, 2.5, True], ids=["negative", "fraction", "bool"])

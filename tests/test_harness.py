@@ -150,6 +150,20 @@ class TestRunSweep:
         assert len(report.rows) == 2
         assert all(row.scores is not None for row in report.rows)
 
+    def test_infinite_compactness_is_a_row_error(self, tmp_path):
+        px = np.random.default_rng(33).integers(0, 255, size=(24, 24, 3)).astype(np.uint8)
+        write_ppm(RasterRGB(px), tmp_path / "img.ppm")
+        write_pgm16(LabelMap((np.indices((24, 24)).sum(axis=0) // 12 + 1).astype(np.int32)), tmp_path / "gt.pgm")
+        cfg = SweepConfig(
+            algorithm="slic",
+            grid={"superpixels": [9], "compactness": [math.inf, 10.0]},
+            ground_truth=str(tmp_path / "gt.pgm"),
+            image=str(tmp_path / "img.ppm"),
+        )
+        bad, good = run_sweep(cfg).rows
+        assert bad.scores is None and bad.error == "ValueError: compactness must be < inf, got inf"
+        assert good.error is None and good.scores is not None
+
     @pytest.mark.parametrize(
         "algorithm, name, values, base",
         [

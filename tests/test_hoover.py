@@ -1,5 +1,6 @@
 """Region-matching classification and scores."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,17 @@ class TestTableContract:
     def test_bad_tables_refused(self, classify, gt_sizes, ms_sizes, overlaps, message):
         with pytest.raises(ValueError, match=message):
             classify(OverlapTable(gt_sizes, ms_sizes, overlaps), 0.5)
+
+    def test_table_is_frozen(self):
+        overlaps = {(1, 1): 4}
+        t = OverlapTable({1: 4}, {1: 4}, overlaps)
+        with pytest.raises(TypeError):
+            t.overlaps[(1, 9)] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.overlaps = {}
+        overlaps[(1, 1)] = 99  # the table holds its own copy
+        assert t.overlaps == {(1, 1): 4}
+        assert hoover_classify(t, 0.5).correct_pairs == [(1, 1)]
 
     def test_numpy_integers_pass(self):
         t = OverlapTable({np.int64(1): np.int32(4)}, {1: 4}, {(1, np.uint8(1)): np.int64(4)})

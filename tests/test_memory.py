@@ -10,6 +10,8 @@ pixel grids and assignment buffers, freed before its merge (``slic``).
 ``evaluate_segmentation`` of the pile field's ground truth against a
 full-frame map peaks at 18 B/px: one int64 key per pixel and the sorted
 copy ``np.unique`` makes of it.
+The netpbm readers hold the file's bytes and the stored array; the writers
+hold at most the big-endian samples, and write the header before them.
 ``LabelMap.region_sizes`` has an absolute bound instead: its table follows
 the labels present, not the largest label.
 """
@@ -21,6 +23,7 @@ import pytest
 
 from spoilseg import (
     FormatError,
+    GrayImage,
     LabelMap,
     RasterRGB,
     ScalarGrid,
@@ -29,11 +32,17 @@ from spoilseg import (
     hillshade,
     merge_small_regions,
     read_asc_grid,
+    read_gray_pgm16,
+    read_pgm16,
+    read_ppm,
     rgb_to_lab,
     sigmoidal_stretch,
     slic,
     synth_pilefield,
     write_asc_grid,
+    write_gray_pgm16,
+    write_pgm16,
+    write_ppm,
 )
 
 N = 512
@@ -106,6 +115,33 @@ def test_read_asc_grid_allocates_nothing_for_a_shape_the_file_cannot_hold(tmp_pa
 
 def test_write_asc_grid(dsm, tmp_path):
     assert peak_bytes_per_pixel(lambda: write_asc_grid(dsm, tmp_path / "dsm.asc")) <= 2
+
+
+# (writer, reader, the raster written, budget of the write, budget of the read);
+# the file alone is 2 B/px for a PGM16 and 3 for a PPM
+NETPBM = [
+    (write_gray_pgm16, read_gray_pgm16, "gray", 2.5, 3.5),  # the read: file + uint8 result
+    (write_pgm16, read_pgm16, "superpixel_map", 2.5, 6.5),  # file + int32 result
+    (write_ppm, read_ppm, "ortho", 0.5, 6.5),  # file + writable copy
+]
+
+
+@pytest.fixture(scope="module")
+def gray(ortho):
+    return GrayImage(ortho.pixels[..., 0].copy())
+
+
+@pytest.mark.parametrize("write, read, raster, budget, _", NETPBM, ids=[row[0].__name__ for row in NETPBM])
+def test_netpbm_write(request, tmp_path, write, read, raster, budget, _):
+    img = request.getfixturevalue(raster)
+    assert peak_bytes_per_pixel(lambda: write(img, tmp_path / "raster.pnm")) <= budget
+
+
+@pytest.mark.parametrize("write, read, raster, _, budget", NETPBM, ids=[row[1].__name__ for row in NETPBM])
+def test_netpbm_read(request, tmp_path, write, read, raster, _, budget):
+    path = tmp_path / "raster.pnm"
+    write(request.getfixturevalue(raster), path)
+    assert peak_bytes_per_pixel(lambda: read(path)) <= budget
 
 
 def test_hillshade(dsm):

@@ -17,7 +17,7 @@ CONTRACT = [
     (MeanShiftParams, "convergence_eps", float, [1e-12, math.inf], [0.0, math.nan]),
     (MeanShiftParams, "max_iterations", int, [1], [0]),
     (SlicParams, "superpixels", int, [1], [0]),
-    (SlicParams, "compactness", float, [1e-9, math.inf], [0, -math.inf, math.nan]),
+    (SlicParams, "compactness", float, [1e-9, 1e300], [0, -math.inf, math.inf, math.nan]),
     (SlicParams, "iterations", int, [1], [0]),
     (SlicParams, "min_region_size", int | None, [None, 1], [0]),
     (VoronoiParams, "sigma", float, [1e-9, math.inf], [0, -2.0, math.nan]),

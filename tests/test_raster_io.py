@@ -8,7 +8,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import AscFormatError, flood_fill_components, read_asc_whole, zero_small_regions
+from oracles import (
+    AscFormatError,
+    NetpbmFormatError,
+    flood_fill_components,
+    read_asc_whole,
+    read_netpbm_loop,
+    zero_small_regions,
+)
 from spoilseg import (
     FormatError,
     GrayImage,
@@ -59,6 +66,49 @@ def asc_texts(draw) -> str:
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(spoilers)))
     text = "".join(line + draw(st.sampled_from(_LINE_ENDS)) for line in lines)
     return text if draw(st.booleans()) else text.rstrip()
+
+
+# netpbm header pieces: each whitespace byte, comments (one holding a carriage
+# return, which does not end it), both magics, numbers, and two bytes that
+# str.split takes for whitespace but netpbm does not
+_SPACES = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"# c\n", b"# 1\r2\n"]
+_HEADER_PIECES = _SPACES + [b"P5", b"P6", b"0", b"1", b"2", b"-1", b"255", b"65535", b"\x85", b"\x1c"]
+
+
+@st.composite
+def netpbm_files(draw) -> bytes:
+    """Header-like bytes and a payload: either pieces in any order, or the
+    four header fields with runs of spaces and comments between them."""
+    if draw(st.integers(0, 3)) == 0:
+        header = b"".join(draw(st.lists(st.sampled_from(_HEADER_PIECES), max_size=12)))
+    else:  # mostly plain whitespace, so that many headers are whole
+        spaces = _SPACES[:6] * 4 + _SPACES[6:] + [b"\x85"]
+        gap = st.lists(st.sampled_from(spaces), min_size=1, max_size=2).map(b"".join)
+        fields = [st.sampled_from([b"P5", b"P6"]), *[st.sampled_from([b"1", b"2", b"1", b"2", b"0", b"x"])] * 2]
+        fields.append(st.sampled_from([b"255", b"65535", b"7"]))
+        header = b"".join(draw(gap) + draw(f) for f in fields) + draw(gap)
+    return header + draw(st.binary(max_size=30))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=netpbm_files())
+def test_netpbm_readers_match_the_byte_loop_oracle(tmp_path, data):
+    """Header tokens, payload offset and first fault agree with the byte-by-byte header loop."""
+    path = tmp_path / "any.pnm"
+    path.write_bytes(data)
+    for read, magic, maxval, channels, dtype in [
+        (lambda p: read_ppm(p).pixels, b"P6", 255, 3, "u1"),
+        (lambda p: read_pgm16(p).labels[..., None], b"P5", 65535, 1, ">u2"),
+    ]:
+        try:
+            expected = read_netpbm_loop(data, magic, maxval, channels, dtype)
+        except NetpbmFormatError as exc:
+            with pytest.raises(FormatError) as info:
+                read(path)
+            assert str(info.value) == str(exc)
+            continue
+        got = read(path)
+        assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 class TestPpm:
