@@ -24,7 +24,7 @@ _BLOCK_CELLS = 1 << 18
 
 @dataclass
 class VoronoiParams:
-    sigma: float = _param(12.0, gt=0)
+    sigma: float = _param(12.0, gt=0, lt=math.inf)
     peak_radius: int | None = _param(None, ge=1)  # None: ceil(sigma)
     restrict_to_foreground: bool = True
     invert_foreground: bool = False

@@ -10,6 +10,7 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy import ndimage
 
 
 def flood_fill_components(labels: np.ndarray) -> np.ndarray:
@@ -34,6 +35,38 @@ def flood_fill_components(labels: np.ndarray) -> np.ndarray:
                         out[ny, nx] = next_label
                         queue.append((ny, nx))
     return out
+
+
+def doubled_grid_components(nodes: np.ndarray, right: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """4-connected components of a pixel graph by one binary ``ndimage.label``.
+
+    ``nodes`` (h, w) marks the graph's pixels, ``right`` (h, w-1) and ``down``
+    (h-1, w) its joined neighbour pairs.  Pixels sit on the even cells of a
+    (2h-1, 2w-1) grid and each joined pair sets the cell between its pixels;
+    a component's first cell in raster order is a pixel cell, so the numbers
+    follow the pixels' raster discovery order.  Non-nodes are 0.
+    """
+    h, w = nodes.shape
+    grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    grid[::2, ::2] = nodes
+    grid[::2, 1::2] = right
+    grid[1::2, ::2] = down
+    return ndimage.label(grid)[0][::2, ::2]
+
+
+def linked_mode_components(modes: np.ndarray, spatial_radius: float, range_radius: float) -> np.ndarray:
+    """Components of the pixels whose 4-neighbours' modes lie within both radii, pair by pair."""
+    h, w = modes.shape[:2]
+
+    def linked(a, b) -> bool:
+        return (
+            float(((a[:2] - b[:2]) ** 2).sum()) <= spatial_radius**2
+            and float(((a[2:] - b[2:]) ** 2).sum()) <= range_radius**2
+        )
+
+    right = np.array([[linked(modes[y, x], modes[y, x + 1]) for x in range(w - 1)] for y in range(h)], dtype=bool)
+    down = np.array([[linked(modes[y, x], modes[y + 1, x]) for x in range(w)] for y in range(h - 1)], dtype=bool)
+    return doubled_grid_components(np.ones((h, w), dtype=bool), right.reshape(h, w - 1), down.reshape(h - 1, w))
 
 
 def zero_small_regions(labels: np.ndarray, min_size: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 
 import spoilseg
 from spoilseg import (
+    GrayImage,
     HillshadeParams,
     LabelMap,
     MeanShiftParams,
@@ -151,6 +152,15 @@ class TestSegmentCommands:
         assert main(["segment", "slic", "--in", str(src), "--k", "9", "--m", "inf", "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "compactness must be < inf, got inf"}
+        assert not out.exists()
+
+    def test_voronoi_refuses_infinite_sigma(self, tmp_path, capsys):
+        px = np.random.default_rng(2).integers(0, 255, size=(24, 24)).astype(np.uint8)
+        src, out = tmp_path / "img.pgm", tmp_path / "voronoi.pgm"
+        write_gray_pgm16(GrayImage(px), src)
+        assert main(["segment", "voronoi", "--in", str(src), "--sigma", "inf", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "sigma must be < inf, got inf"}
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -5,8 +5,10 @@ peak is deterministic.  Each budget holds a stage to a few arrays of the
 grid's size, set from measurement with some headroom: on the terrain path
 the output, a mask and the value check of the result; on the colour path
 the 24 B/px Lab output plus band temporaries (``rgb_to_lab``), the label
-maps and the components grid (``merge_small_regions``), and SLIC's planes,
-pixel grids and assignment buffers, freed before its merge (``slic``).
+maps and the components kernel's run ids (``merge_small_regions``), and
+SLIC's planes, pixel grids and assignment buffers, freed before its merge
+(``slic``).  ``relabel_connected`` holds the neighbour masks, one int32 run
+id and the int32 output per pixel.
 ``evaluate_segmentation`` of the pile field's ground truth against a
 full-frame map peaks at 18 B/px: one int64 key per pixel and the sorted
 copy ``np.unique`` makes of it.
@@ -20,6 +22,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph  # noqa: F401  the components kernel imports it on first use; not a stage's peak
 
 from spoilseg import (
     FormatError,
@@ -35,6 +38,7 @@ from spoilseg import (
     read_gray_pgm16,
     read_pgm16,
     read_ppm,
+    relabel_connected,
     rgb_to_lab,
     sigmoidal_stretch,
     slic,
@@ -164,8 +168,12 @@ def test_rgb_to_lab(ortho):
     assert peak_bytes_per_pixel(lambda: rgb_to_lab(ortho)) <= 56  # the Lab output alone is 24
 
 
+def test_relabel_connected(superpixel_map):
+    assert peak_bytes_per_pixel(lambda: relabel_connected(superpixel_map)) <= 18
+
+
 def test_merge_small_regions(superpixel_map):
-    assert peak_bytes_per_pixel(lambda: merge_small_regions(superpixel_map, 43)) <= 46
+    assert peak_bytes_per_pixel(lambda: merge_small_regions(superpixel_map, 43)) <= 26
 
 
 def test_slic(ortho):

@@ -20,7 +20,7 @@ CONTRACT = [
     (SlicParams, "compactness", float, [1e-9, 1e300], [0, -math.inf, math.inf, math.nan]),
     (SlicParams, "iterations", int, [1], [0]),
     (SlicParams, "min_region_size", int | None, [None, 1], [0]),
-    (VoronoiParams, "sigma", float, [1e-9, math.inf], [0, -2.0, math.nan]),
+    (VoronoiParams, "sigma", float, [1e-9, 1e300], [0, -2.0, math.inf, math.nan]),
     (VoronoiParams, "peak_radius", int | None, [None, 1], [0]),
     (VoronoiParams, "restrict_to_foreground", bool, [True, False], []),
     (VoronoiParams, "invert_foreground", bool, [True, False], []),

@@ -425,11 +425,20 @@ class TestRelabelConnected:
         out = relabel_connected(LabelMap(lab))
         assert out.region_count() == 18  # one label per isolated cell
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 20))
-    def test_matches_flood_fill_oracle(self, seed, h, w):
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.booleans(),
+    )
+    def test_matches_flood_fill_oracle(self, seed, h, w, labels, block, background):
+        # blocks of one label make long runs that overlap several runs below
         rng = np.random.default_rng(seed)
-        lab = rng.integers(0, 4, size=(h, w)).astype(np.int32)
+        coarse = rng.integers(0 if background else 1, labels + 1, size=(-(-h // block), -(-w // block)))
+        lab = coarse.repeat(block, 0).repeat(block, 1)[:h, :w].astype(np.int32)
         ours = relabel_connected(LabelMap(lab))
         assert np.array_equal(ours.labels, flood_fill_components(lab))
 
