@@ -17,6 +17,10 @@ _SRGB_TO_XYZ = np.array(
 # on L=100, a=b=0 and L never exceeds 100
 _D65_WHITE = _SRGB_TO_XYZ.sum(axis=1)
 _EPS = (6.0 / 29.0) ** 3
+# linear RGB of every 8-bit sample, so a band is one table lookup
+_C = np.arange(256) / 255.0
+_LINEAR = np.where(_C <= 0.04045, _C / 12.92, ((_C + 0.055) / 1.055) ** 2.4)
+del _C
 # rows converted at a time: the band's temporaries stay small next to the output
 _BAND = 64
 
@@ -31,8 +35,7 @@ def rgb_to_lab(img: RasterRGB) -> LabImage:
     h, w, _ = img.pixels.shape
     lab = np.empty((h, w, 3), dtype=np.float64)
     for top in range(0, h, _BAND):
-        c = img.pixels[top : top + _BAND].astype(np.float64) / 255.0
-        linear = np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
+        linear = _LINEAR[img.pixels[top : top + _BAND]]
         xyz = linear @ _SRGB_TO_XYZ.T / _D65_WHITE
         f = np.where(xyz > _EPS, np.cbrt(xyz), xyz / (3.0 * (6.0 / 29.0) ** 2) + 4.0 / 29.0)
         band = lab[top : top + _BAND]

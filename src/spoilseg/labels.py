@@ -2,14 +2,13 @@
 
 Region-matching evaluation assumes every positive label denotes one connected
 blob, so segmentations pass through :func:`relabel_connected` before scoring.
-Every connected-components job in the package (this relabel, the split
-that starts the small-region merge and the mean shift mode linking) goes
-through the one private helper :func:`_pixel_components`: it cuts the
-pixels into horizontal runs, joins the runs that touch vertically with
-``scipy.sparse.csgraph.connected_components`` and paints each run with its
-component's number.
 :func:`merge_small_regions` is the shared final step of the colour
 segmenters: mean shift fuses small regions by colour, SLIC by boundary.
+Every numbering of components goes through the one private helper
+:func:`_components` (``scipy.sparse.csgraph.connected_components``): the
+pixel components of this relabel, of the split that starts the merge and of
+mean shift's mode linking (horizontal runs joined vertically), and the
+groups the merge leaves.
 """
 
 from __future__ import annotations
@@ -21,6 +20,23 @@ import numpy as np
 from .grids import LabelMap, _check_field
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Components of the undirected graph on ``0..n-1`` with edges ``a[i]-b[i]``.
+
+    ``a`` is nondecreasing (CSR row order).  The components are numbered
+    from 0 in the order of their lowest node, an order scipy does not
+    document; the oracle tests pin it.
+    """
+    # csgraph is imported here, not at module level: it costs about 0.1 s and
+    # 10 MB, which ``import spoilseg`` and the commands without a relabel skip
+    from scipy.sparse import csgraph, csr_matrix
+
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(b.size, dtype=bool), b, indptr), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)[1]
+
+
 def _pixel_components(nodes: np.ndarray, right: np.ndarray, down: np.ndarray) -> np.ndarray:
     """4-connected components of a pixel graph, numbered 1..K in raster order.
 
@@ -30,15 +46,9 @@ def _pixel_components(nodes: np.ndarray, right: np.ndarray, down: np.ndarray) ->
     not joined to its left neighbour, so one ``cumsum`` numbers the runs
     1..R in raster order.  Of the ``down`` pairs joining the same upper and
     lower run over consecutive columns only the first is kept as an edge of
-    the run graph.  ``connected_components`` numbers the components of that
-    graph in the order of their lowest node (an order scipy does not
-    document; the oracle tests pin it), which is the raster order of their
-    first pixels; node 0 stands for the non-nodes, which stay 0.
+    the run graph.  Its components, numbered by their lowest run, are in the
+    raster order of their first pixels; run 0, the non-nodes, stays 0.
     """
-    # csgraph is imported here, not at module level: it costs about 0.1 s and
-    # 10 MB, which ``import spoilseg`` and the commands without a relabel skip
-    from scipy.sparse import csgraph, csr_matrix
-
     h, w = nodes.shape
     start = nodes.copy()
     start[:, 1:] &= ~right
@@ -50,11 +60,8 @@ def _pixel_components(nodes: np.ndarray, right: np.ndarray, down: np.ndarray) ->
     edge[:, 1:] &= ~(down[:, :-1] & right[:-1] & right[1:])
     upper = np.flatnonzero(edge)
     lower = run[upper + w]
-    upper = run[upper]  # nondecreasing, so the edges are already in CSR row order
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(upper, minlength=n), out=indptr[1:])
-    graph = csr_matrix((np.ones(lower.size, dtype=bool), lower, indptr), shape=(n, n))
-    return csgraph.connected_components(graph, directed=False)[1][run].reshape(h, w)
+    upper = run[upper]  # nondecreasing, as _components asks
+    return _components(n, upper, lower)[run].reshape(h, w)
 
 
 def relabel_connected(label_map: LabelMap) -> LabelMap:
@@ -166,18 +173,8 @@ def merge_small_regions(
         if sizes[dst] < min_size:
             heapq.heappush(heap, (int(sizes[dst]), dst))
 
-    # resolve merge chains by pointer jumping
-    while True:
-        root = parent[parent]
-        if np.array_equal(root, parent):
-            break
-        parent = root
     # A group only ever absorbs a neighbour, so it stays connected, and region
     # ids are in raster discovery order, so numbering the groups by their
     # lowest member is numbering them by their first pixel in raster order.
-    _, lowest, member_root = np.unique(parent[1:], return_index=True, return_inverse=True)
-    group_id = np.empty(lowest.size, dtype=np.int32)
-    group_id[np.argsort(lowest)] = np.arange(1, lowest.size + 1, dtype=np.int32)
-    new_id = np.zeros(n, dtype=np.int32)
-    new_id[1:] = group_id[member_root]
-    return LabelMap(new_id[labels])
+    # Nothing merges into background region 0, so it stays component 0.
+    return LabelMap(_components(n, np.arange(n), parent)[labels])

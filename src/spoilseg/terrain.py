@@ -133,10 +133,11 @@ def sigmoidal_stretch(grid: ScalarGrid, params: StretchParams | None = None) -> 
 
 def quantize8(grid: ScalarGrid) -> GrayImage:
     """Map [0, 1] values to 0..255 with round-half-up; nodata becomes 0."""
-    mask = grid.nodata_mask
-    data = grid.values[~mask]
-    if data.size and (data.min() < 0.0 or data.max() > 1.0):
+    v, mask = grid.values, grid.nodata_mask
+    if v.min(where=~mask, initial=0.0) < 0.0 or v.max(where=~mask, initial=1.0) > 1.0:
         raise ValueError("quantize8 input must lie in [0, 1]")
-    q = np.floor(grid.values * 255.0 + 0.5)
-    q = np.where(mask, 0.0, q)
+    q = v * 255.0
+    q += 0.5
+    np.floor(q, out=q)
+    q[mask] = 0.0
     return GrayImage(q.astype(np.uint8))

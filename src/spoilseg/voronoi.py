@@ -234,11 +234,6 @@ def _nearest_in_tile(cx: np.ndarray, cy: np.ndarray, xs: np.ndarray, ys: np.ndar
     return best
 
 
-def _requantize8(grid: ScalarGrid) -> GrayImage:
-    q = np.floor(np.clip(grid.values, 0.0, 255.0) + 0.5)
-    return GrayImage(np.minimum(q, 255.0).astype(np.uint8))
-
-
 def voronoi_pipeline(img: GrayImage, params: VoronoiParams | None = None) -> LabelMap:
     """Blur, detect seeds, mask the background, and tessellate.
 
@@ -249,7 +244,7 @@ def voronoi_pipeline(img: GrayImage, params: VoronoiParams | None = None) -> Lab
     radius = p.peak_radius if p.peak_radius is not None else math.ceil(p.sigma)
     blurred = gaussian_blur(img, p.sigma)
     seeds = detect_local_maxima(blurred, radius)
-    quantized = _requantize8(blurred)
+    quantized = GrayImage(np.floor(np.clip(blurred.values, 0.0, 255.0) + 0.5).astype(np.uint8))
     if np.all(quantized.values == quantized.values.flat[0]):
         return LabelMap(np.zeros((img.height, img.width), dtype=np.int32))
     _, mask = otsu_threshold(quantized)

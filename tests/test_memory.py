@@ -8,7 +8,8 @@ the 24 B/px Lab output plus band temporaries (``rgb_to_lab``), the label
 maps and the components kernel's run ids (``merge_small_regions``), and
 SLIC's planes, pixel grids and assignment buffers, freed before its merge
 (``slic``).  ``relabel_connected`` holds the neighbour masks, one int32 run
-id and the int32 output per pixel.
+id and the int32 output per pixel.  ``quantize8`` holds one float64 work
+array, the nodata mask and the uint8 output.
 ``evaluate_segmentation`` of the pile field's ground truth against a
 full-frame map peaks at 18 B/px: one int64 key per pixel and the sorted
 copy ``np.unique`` makes of it.
@@ -34,6 +35,7 @@ from spoilseg import (
     evaluate_segmentation,
     hillshade,
     merge_small_regions,
+    quantize8,
     read_asc_grid,
     read_gray_pgm16,
     read_pgm16,
@@ -162,6 +164,12 @@ def test_hillshade_with_nodata(holed_dsm):
 
 def test_sigmoidal_stretch_with_nodata(holed_dsm):
     assert peak_bytes_per_pixel(lambda: sigmoidal_stretch(holed_dsm)) <= 12
+
+
+@pytest.mark.parametrize("grid", ["dsm", "holed_dsm"])
+def test_quantize8(request, grid):
+    stretched = sigmoidal_stretch(request.getfixturevalue(grid))
+    assert peak_bytes_per_pixel(lambda: quantize8(stretched)) <= 12
 
 
 def test_rgb_to_lab(ortho):
