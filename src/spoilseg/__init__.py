@@ -33,10 +33,8 @@ from .raster_io import (
 )
 from .slic import SlicParams, slic
 from .sweep import (
-    ExternalMaskMetadata,
     SweepConfig,
     SweepReport,
-    emit_report,
     ingest_external_mask,
     load_sweep_config,
     run_sweep,
@@ -55,7 +53,6 @@ from .voronoi import (
 )
 
 __all__ = [
-    "ExternalMaskMetadata",
     "FormatError",
     "GrayImage",
     "HillshadeParams",
@@ -75,7 +72,6 @@ __all__ = [
     "VoronoiParams",
     "detect_local_maxima",
     "drop_small_regions",
-    "emit_report",
     "evaluate_segmentation",
     "filter_background_seeds",
     "gaussian_blur",

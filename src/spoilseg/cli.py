@@ -24,10 +24,9 @@ from .raster_io import (
 )
 from .sweep import (
     ALGORITHMS,
-    ExternalMaskMetadata,
-    emit_report,
     ingest_external_mask,
     load_sweep_config,
+    report_csv,
     report_json,
     run_sweep,
 )
@@ -90,9 +89,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_sweep_config(args.config)
     report = run_sweep(cfg)
     if args.csv:
-        emit_report(report, "csv", args.csv)
+        Path(args.csv).write_text(report_csv(report))
     if args.json:
-        emit_report(report, "json", args.json)
+        Path(args.json).write_text(report_json(report))
     if not args.csv and not args.json:
         sys.stdout.write(report_json(report))
     if report.optimum is None:
@@ -109,10 +108,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         if key in params:
             raise ValueError(f"duplicate --param key {key!r}")
         params[key] = value
-    meta = ExternalMaskMetadata(source=args.source or "", parameters=params)
-    mask, info = ingest_external_mask(args.input, meta, args.min_region)
+    mask, counts = ingest_external_mask(args.input, args.min_region)
     write_pgm16(mask, args.out)
     if args.report:
+        info = {"source": args.source or "", "parameters": params, **counts}
         Path(args.report).write_text(json.dumps(info, indent=2, sort_keys=True) + "\n")
     return 0
 

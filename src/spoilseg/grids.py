@@ -155,19 +155,19 @@ class RasterRGB(_Raster):
 class ScalarGrid(_Raster):
     """Single-channel float grid with optional nodata sentinel.
 
-    ``cellsize`` is the ground size of one pixel.  Cells holding exactly the
-    ``nodata`` sentinel are treated as missing and excluded from statistics;
-    every other value must be finite.  The sentinel may not be NaN, which no
-    cell can equal.
+    ``cellsize`` is the ground size of one pixel, a finite number > 0.
+    Cells holding exactly the ``nodata`` sentinel are treated as missing and
+    excluded from statistics; every other value must be finite.  The sentinel
+    may not be NaN, which no cell can equal.
     """
 
     _form = _Form(np.float64, "iuf", (_FINITE,))
     values: np.ndarray
-    cellsize: float | None = 1.0
+    cellsize: float = 1.0
     nodata: float | None = None
 
     def __post_init__(self) -> None:
-        _check_field("cellsize", self.cellsize, float | None, {"gt": 0, "lt": math.inf})
+        _check_field("cellsize", self.cellsize, float, {"gt": 0, "lt": math.inf})
         _check_field("nodata", self.nodata, float | None, {"ge": -math.inf})  # NaN fails
         _check_raster(self, skip=self.nodata)
 

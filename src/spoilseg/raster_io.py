@@ -209,14 +209,12 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
 def write_asc_grid(grid: ScalarGrid, path: str | os.PathLike) -> None:
     """Write an ESRI ASCII grid row by row; float values use shortest
     round-trip notation."""
-    if grid.cellsize is None:
-        raise FormatError("grid has no cellsize")
     header = [
         f"ncols {grid.width}",
         f"nrows {grid.height}",
         "xllcorner 0.0",
         "yllcorner 0.0",
-        f"cellsize {grid.cellsize!r}",
+        f"cellsize {float(grid.cellsize)!r}",
     ]
     if grid.nodata is not None:
         header.append(f"NODATA_value {float(grid.nodata)!r}")

@@ -214,7 +214,7 @@ def report_json(report: SweepReport) -> str:
     """Render a report as JSON, including raw counts and the optimum row."""
     payload = {
         "algorithm": report.algorithm,
-        "threshold": report.threshold,
+        "threshold": float(_as_fraction(report.threshold)),  # as each row's scores write it
         "parameters": list(report.param_names),
         "rows": [
             {
@@ -231,47 +231,16 @@ def report_json(report: SweepReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit_report(report: SweepReport, fmt: str, path: str | os.PathLike) -> None:
-    """Write a report file; two identical runs produce identical bytes."""
-    if fmt == "csv":
-        text = report_csv(report)
-    elif fmt == "json":
-        text = report_json(report)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    Path(path).write_text(text)
-
-
-@dataclass
-class ExternalMaskMetadata:
-    """Free-form provenance for a mask produced outside this toolkit."""
-
-    source: str = ""
-    parameters: dict[str, str] = field(default_factory=dict)
-
-
-def ingest_external_mask(
-    path: str | os.PathLike,
-    metadata: ExternalMaskMetadata | None = None,
-    min_region: int = 0,
-) -> tuple[LabelMap, dict]:
+def ingest_external_mask(path: str | os.PathLike, min_region: int = 0) -> tuple[LabelMap, dict]:
     """Load and normalise an externally produced label mask.
 
     The mask is split into 4-connected regions once, regions below
     ``min_region`` pixels (an integer >= 0) drop to background and the rest
-    are numbered 1..K in raster order.  Returns the normalised map plus a
-    report fragment carrying the metadata and region counts.
+    are numbered 1..K in raster order.  Returns the normalised map plus its
+    counts: ``min_region``, ``regions_before_filter`` and ``regions``.
     """
     _check_field("min_region", min_region, int, {"ge": 0})
     m = relabel_connected(read_pgm16(path))
     raw_regions = int(m.labels.max())  # both maps are numbered 1..K: the top label counts them
     m = drop_small_regions(m, min_region)
-    meta = metadata if metadata is not None else ExternalMaskMetadata()
-    info = {
-        "source": meta.source,
-        "parameters": dict(meta.parameters),
-        "min_region": min_region,
-        "regions_before_filter": raw_regions,
-        "regions": int(m.labels.max()),
-    }
-    return m, info
+    return m, {"min_region": min_region, "regions_before_filter": raw_regions, "regions": int(m.labels.max())}

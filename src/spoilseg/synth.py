@@ -14,27 +14,25 @@ import numpy as np
 from .grids import LabelMap, ScalarGrid, _check_field
 
 _TINY = float(np.finfo(np.float64).tiny)
+_NOISE = 0.08  # the noise floor is uniform in [0, _NOISE); mounds have unit height
 
 
-def _reach2(floor: float, amplitude: float, sigma: float, gt_radius2: float) -> float:
-    """Squared distance from a mound's center beyond which its term cannot
-    change a bit of any cell, or inf where that cannot be shown.
+def _reach2(floor: float, sigma: float, gt_radius2: float) -> float:
+    """Squared distance from a mound's center beyond which its unit-height
+    term cannot change a bit of any cell, or inf where that cannot be shown.
 
-    With ``amplitude >= 0`` no cell falls below ``floor``, the lowest noise
-    value, so a term under ``spacing(floor) / 2`` rounds away (round to
-    nearest).  The reach aims at ``t = spacing(floor) / 8``, leaving 4x
-    headroom for the rounding of ``exp`` and of the reach itself, and never
-    falls inside the ground-truth disk.
+    No cell falls below ``floor``, the lowest noise value, so a term under
+    ``spacing(floor) / 2`` rounds away (round to nearest).  The reach aims at
+    ``t = spacing(floor) / 8``, leaving 4x headroom for the rounding of
+    ``exp`` and of the reach itself, and never falls inside the ground-truth
+    disk.  A positive floor is at least ``_NOISE * 2**-53``, so ``t`` is a
+    normal number far below 1.
     """
     two_s2 = 2.0 * sigma**2
-    if amplitude < 0 or not floor > 0 or two_s2 < _TINY:
+    if not floor > 0 or two_s2 < _TINY:
         return math.inf
     t = float(np.spacing(floor)) / 8.0
-    if amplitude <= t:  # no term exceeds the amplitude
-        return gt_radius2
-    if t / amplitude < _TINY:  # the cut-off would fall among subnormal exp values
-        return math.inf
-    return max(gt_radius2, two_s2 * (math.log(amplitude) - math.log(t)))
+    return max(gt_radius2, -two_s2 * math.log(t))
 
 
 def synth_pilefield(
@@ -43,9 +41,6 @@ def synth_pilefield(
     n_bumps: int,
     bump_sigma: float,
     rng_seed: int,
-    *,
-    bump_amplitude: float = 1.0,
-    noise_amplitude: float = 0.08,
 ) -> tuple[ScalarGrid, LabelMap]:
     """Generate (dsm, ground_truth) with ``n_bumps`` well-separated mounds.
 
@@ -62,8 +57,6 @@ def synth_pilefield(
         _check_field(name, value, int, {"ge": 1})
     _check_field("bump_sigma", bump_sigma, float, {"gt": 0, "lt": math.inf})
     _check_field("rng_seed", rng_seed, int, {"ge": 0})
-    _check_field("bump_amplitude", bump_amplitude, float, {"gt": -math.inf, "lt": math.inf})
-    _check_field("noise_amplitude", noise_amplitude, float, {"ge": 0, "lt": math.inf})
     rng = np.random.default_rng(rng_seed)
 
     grid_rows = math.ceil(math.sqrt(n_bumps))
@@ -92,10 +85,10 @@ def synth_pilefield(
 
     ys = np.arange(rows, dtype=np.float64)
     xs = np.arange(cols, dtype=np.float64)
-    dsm = rng.uniform(0.0, noise_amplitude, size=(rows, cols))
+    dsm = rng.uniform(0.0, _NOISE, size=(rows, cols))
     gt = np.zeros((rows, cols), dtype=np.int32)
     gt_radius2 = (2.0 * bump_sigma) ** 2
-    reach2 = _reach2(float(dsm.min()), bump_amplitude, bump_sigma, gt_radius2)
+    reach2 = _reach2(float(dsm.min()), bump_sigma, gt_radius2)
     for i, (cy, cx) in enumerate(centers):
         # outside the box, d2 >= max(dy2, dx2) > reach2
         dy2 = (ys - cy) ** 2
@@ -106,7 +99,7 @@ def synth_pilefield(
         if in_y.size and in_x.size:
             box = slice(in_y[0], in_y[-1] + 1), slice(in_x[0], in_x[-1] + 1)
             d2 = dy2[box[0], None] + dx2[None, box[1]]
-            dsm[box] += bump_amplitude * np.exp(-d2 / (2.0 * bump_sigma**2))
+            dsm[box] += np.exp(-d2 / (2.0 * bump_sigma**2))
             inside = d2 <= gt_radius2
             gt[box][inside] = i + 1
             labelled = np.count_nonzero(inside)

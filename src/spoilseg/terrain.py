@@ -58,8 +58,6 @@ def hillshade(dsm: ScalarGrid, params: HillshadeParams | None = None) -> ScalarG
     p = params if params is not None else HillshadeParams()
     if dsm.height < 3 or dsm.width < 3:
         raise ValueError("hillshade needs a grid of at least 3x3 cells")
-    if dsm.cellsize is None:
-        raise ValueError("hillshade needs the grid cellsize")
 
     height = dsm.height
     denom = 8.0 * dsm.cellsize

@@ -424,9 +424,6 @@ def synth_pilefield_full(
     n_bumps: int,
     bump_sigma: float,
     rng_seed: int,
-    *,
-    bump_amplitude: float = 1.0,
-    noise_amplitude: float = 0.08,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pile-field synthesis with every mound summed over the whole frame;
     returns the raw (dsm, ground truth) arrays."""
@@ -459,12 +456,12 @@ def synth_pilefield_full(
                 raise ValueError("bump supports overlap")
 
     yy, xx = np.mgrid[0:rows, 0:cols].astype(np.float64)
-    dsm = rng.uniform(0.0, noise_amplitude, size=(rows, cols))
+    dsm = rng.uniform(0.0, 0.08, size=(rows, cols))
     gt = np.zeros((rows, cols), dtype=np.int32)
     gt_radius2 = (2.0 * bump_sigma) ** 2
     for i, (cy, cx) in enumerate(centers):
         d2 = (yy - cy) ** 2 + (xx - cx) ** 2
-        dsm += bump_amplitude * np.exp(-d2 / (2.0 * bump_sigma**2))
+        dsm += np.exp(-d2 / (2.0 * bump_sigma**2))
         gt[d2 <= gt_radius2] = i + 1
     return dsm, gt
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -431,6 +432,19 @@ class TestIngestCli:
         assert meta["source"] == "stardist"
         assert meta["parameters"]["probability"] == "0.3"
 
+    def test_metadata_recorded(self, tmp_path):
+        # the command adds the provenance to the library's counts; the bytes are pinned
+        src, out, report = tmp_path / "mask.pgm", tmp_path / "o.pgm", tmp_path / "meta.json"
+        write_pgm16(LabelMap(np.ones((4, 4), dtype=np.int32)), src)
+        argv = ["ingest", "--in", str(src), "--out", str(out), "--min-region", "100", "--source", "sam",
+                "--param", "points_per_side=200", "--param", "iou_threshold=0.9", "--report", str(report)]
+        assert main(argv) == 0
+        assert report.read_bytes() == (
+            b'{\n  "min_region": 100,\n  "parameters": {\n    "iou_threshold": "0.9",\n'
+            b'    "points_per_side": "200"\n  },\n  "regions": 0,\n  "regions_before_filter": 1,\n'
+            b'  "source": "sam"\n}\n'
+        )
+
     def test_bad_param_syntax(self, tmp_path, capsys):
         lab = np.ones((4, 4), dtype=np.int32)
         src = tmp_path / "mask.pgm"
@@ -486,3 +500,11 @@ class TestExperiments:
         )
         assert (tmp_path / "runs/sigma/sweep.csv").read_bytes() == report_csv(report).encode()
         assert (tmp_path / "runs/sigma/sweep.json").read_bytes() == report_json(report).encode()
+
+    def test_readme_library_sketch_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+        names = set(re.findall(r"\bsp\.(\w+)", block))
+        assert names and names <= set(spoilseg.__all__), names - set(spoilseg.__all__)
+        exec(compile(block, "README.md", "exec"), {})
+        assert "correct_detection" in capsys.readouterr().out

@@ -59,6 +59,7 @@ REJECTED_FIELDS = [
     ("cellsize-true", {"cellsize": True}, "cellsize must be a number, got True"),
     ("cellsize-inf", {"cellsize": math.inf}, "cellsize must be < inf, got inf"),
     ("cellsize-string", {"cellsize": "1"}, "cellsize must be a number, got '1'"),
+    ("cellsize-none", {"cellsize": None}, "cellsize must be a number, got None"),
     ("nodata-true", {"nodata": True}, "nodata must be a number, got True"),
     ("nodata-string", {"nodata": "-9999"}, "nodata must be a number, got '-9999'"),
     ("nodata-nan", {"nodata": math.nan}, "nodata must be >= -inf, got nan"),
@@ -109,7 +110,6 @@ ACCEPTED = [
     ("grid-int", ScalarGrid, (np.array([[1, -2]]),), np.float64, [[1.0, -2.0]]),
     ("grid-nodata-nan-free", ScalarGrid, (np.array([[-9999.0, 2.5]]), 1.0, -9999.0), np.float64, None),
     ("grid-all-nodata", ScalarGrid, (np.full((2, 2), -9999.0), 1.0, -9999.0), np.float64, None),
-    ("grid-no-cellsize", ScalarGrid, (np.zeros((1, 1)), None), np.float64, None),
     ("grid-numpy-cellsize", ScalarGrid, (np.zeros((1, 1)), np.float64(0.5)), np.float64, None),
 ]
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +13,10 @@ from hypothesis import strategies as st
 from oracles import synth_pilefield_full
 
 from spoilseg import (
-    ExternalMaskMetadata,
     LabelMap,
     RasterRGB,
     StretchParams,
     SweepConfig,
-    emit_report,
     evaluate_segmentation,
     ingest_external_mask,
     load_sweep_config,
@@ -46,13 +45,13 @@ def pilefield(tmp_path_factory):
     return hs_path, gt_path
 
 
-def voronoi_config(hs_path, gt_path, grid):
+def voronoi_config(hs_path, gt_path, grid, threshold=0.5):
     return SweepConfig(
         algorithm="voronoi",
         grid=grid,
         ground_truth=str(gt_path),
         hillshade=str(hs_path),
-        threshold=0.5,
+        threshold=threshold,
     )
 
 
@@ -254,12 +253,24 @@ class TestReports:
         hs, gt = pilefield
         report = run_sweep(voronoi_config(hs, gt, {"sigma": [12.0]}))
         path = tmp_path / "report.json"
-        emit_report(report, "json", path)
+        path.write_text(report_json(report))
         payload = json.loads(path.read_text())
         assert payload["algorithm"] == "voronoi"
         assert payload["optimum"]["row"] == 0
         counts = payload["rows"][0]["scores"]["counts"]
         assert counts["n_gt"] == 9
+
+    # any threshold the config accepts, a Fraction, a numpy float or an int,
+    # is written as the float its rows carry
+    @pytest.mark.parametrize(
+        "threshold", [Fraction(1, 2), np.float32(0.5), np.float32(0.51), 1], ids=["fraction", "f32", "f32-0.51", "int"]
+    )
+    def test_json_threshold_matches_the_rows(self, pilefield, threshold):
+        hs, gt = pilefield
+        text = report_json(run_sweep(voronoi_config(hs, gt, {"sigma": [12.0]}, threshold)))
+        payload = json.loads(text)
+        assert type(payload["threshold"]) is float
+        assert payload["threshold"] == payload["rows"][0]["scores"]["threshold"] == float(Fraction(str(threshold)))
 
     def test_two_runs_byte_identical(self, tmp_path, pilefield):
         hs, gt = pilefield
@@ -268,12 +279,6 @@ class TestReports:
         second = run_sweep(cfg)
         assert report_csv(first) == report_csv(second)
         assert report_json(first) == report_json(second)
-
-    def test_unknown_format_rejected(self, tmp_path, pilefield):
-        hs, gt = pilefield
-        report = run_sweep(voronoi_config(hs, gt, {"sigma": [12.0]}))
-        with pytest.raises(ValueError, match="format"):
-            emit_report(report, "xml", tmp_path / "r.xml")
 
 
 class TestIngest:
@@ -304,19 +309,6 @@ class TestIngest:
         mask, info = ingest_external_mask(path, min_region=5)
         assert mask.region_count() == 1
         assert info["regions_before_filter"] == 2
-
-    def test_metadata_recorded(self, tmp_path):
-        lab = np.ones((4, 4), dtype=np.int32)
-        path = tmp_path / "mask.pgm"
-        write_pgm16(LabelMap(lab), path)
-        meta = ExternalMaskMetadata(
-            source="sam",
-            parameters={"iou_threshold": "0.9", "stability_threshold": "0.9", "points_per_side": "200"},
-        )
-        _, info = ingest_external_mask(path, meta, min_region=100)
-        assert info["source"] == "sam"
-        assert info["parameters"]["points_per_side"] == "200"
-        assert info["min_region"] == 100
 
 
 class TestSynthPilefield:
@@ -363,34 +355,26 @@ class TestSynthPilefield:
         n_bumps=st.integers(1, 9),
         sigma=st.floats(0.5, 5.0),
         seed=st.integers(0, 2**32 - 1),
-        amplitude=st.sampled_from([0.0, 1e-12, 1.0, 1e3, -1.0]),
-        noise=st.sampled_from([0.0, 1e-300, 0.08, 50.0, -0.08]),
     )
-    # two fields where a cut-off at spacing(floor) or 2 * spacing(floor) changes bits
-    @example(rows=47, cols=60, n_bumps=1, sigma=5.0, seed=660, amplitude=1e-12, noise=0.08)
-    @example(rows=48, cols=54, n_bumps=7, sigma=1.5, seed=43, amplitude=1e3, noise=0.08)
+    # a field where a cut-off at spacing(floor) or 2 * spacing(floor) changes bits
+    @example(rows=60, cols=19, n_bumps=1, sigma=2.1058079766261137, seed=3108820639)
     # a reach under half a cell: the box can be empty, and the mound is refused
-    @example(rows=10, cols=12, n_bumps=1, sigma=0.01, seed=0, amplitude=1.0, noise=0.08)
+    @example(rows=10, cols=12, n_bumps=1, sigma=0.01, seed=0)
     # 2 sigma^2 subnormal: the full frame's divide overflows, a warning raised as an error here
-    @example(rows=10, cols=12, n_bumps=1, sigma=1e-160, seed=3, amplitude=1.0, noise=0.08)
-    def test_bit_identical_to_full_frame(self, rows, cols, n_bumps, sigma, seed, amplitude, noise):
+    @example(rows=10, cols=12, n_bumps=1, sigma=1e-160, seed=3)
+    def test_bit_identical_to_full_frame(self, rows, cols, n_bumps, sigma, seed):
         args = (rows, cols, n_bumps, sigma, seed)
-        kwargs = {"bump_amplitude": amplitude, "noise_amplitude": noise}
-        if noise < 0:  # refused before any drawing; the full frame fails inside numpy
-            with pytest.raises(ValueError, match="^noise_amplitude must be >= 0"):
-                synth_pilefield(*args, **kwargs)
-            return
         try:
-            full_dsm, full_gt = synth_pilefield_full(*args, **kwargs)
+            full_dsm, full_gt = synth_pilefield_full(*args)
         except Exception as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                synth_pilefield(*args, **kwargs)
+                synth_pilefield(*args)
             return
         if np.unique(full_gt[full_gt > 0]).size < n_bumps:  # a mound whose disk holds no cell
             with pytest.raises(ValueError, match=r"^bump_sigma \S+ is too small: mound \d+ covers no cell$"):
-                synth_pilefield(*args, **kwargs)
+                synth_pilefield(*args)
             return
-        dsm, gt = synth_pilefield(*args, **kwargs)
+        dsm, gt = synth_pilefield(*args)
         assert np.array_equal(dsm.values.view(np.int64), full_dsm.view(np.int64))
         assert np.array_equal(gt.labels, full_gt)
 
@@ -414,18 +398,13 @@ class TestSynthPilefield:
             ({"bump_sigma": math.inf}, "bump_sigma must be < inf, got inf"),
             ({"bump_sigma": "8"}, "bump_sigma must be a number, got '8'"),
             ({"rng_seed": 1.5}, "rng_seed must be an integer, got 1.5"),
-            ({"bump_amplitude": math.nan}, "bump_amplitude must be > -inf, got nan"),
-            ({"bump_amplitude": math.inf}, "bump_amplitude must be < inf, got inf"),
-            ({"noise_amplitude": -math.inf}, "noise_amplitude must be >= 0, got -inf"),
-            ({"noise_amplitude": True}, "noise_amplitude must be a number, got True"),
-            ({"noise_amplitude": -0.08}, "noise_amplitude must be >= 0, got -0.08"),  # numpy's high - low < 0
             ({"bump_sigma": 0.1, "n_bumps": 4}, "bump_sigma 0.1 is too small: mound 1 covers no cell"),
         ],
     )
     def test_argument_contract(self, change, message):
         args = {"rows": 100, "cols": 100, "n_bumps": 1, "bump_sigma": 8.0, "rng_seed": 0} | change
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            synth_pilefield(*[args.pop(k) for k in ("rows", "cols", "n_bumps", "bump_sigma", "rng_seed")], **args)
+            synth_pilefield(*args.values())  # the base dict fixes the order
 
     def test_numpy_integers_and_integer_sigma_accepted(self):
         dsm, gt = synth_pilefield(np.int64(100), 100, np.int32(1), 8, np.uint8(0))

@@ -349,6 +349,14 @@ class TestAscGrid:
             b"0.1 -2.0\n1e-300 5.0\n"
         )
 
+    # a numpy-scalar cellsize is written as a plain float, not as "np.float64(0.5)"
+    @pytest.mark.parametrize("cellsize", [np.float64(0.5), np.float32(0.3)], ids=["float64", "float32"])
+    def test_numpy_cellsize_round_trips(self, tmp_path, cellsize):
+        path = tmp_path / "c.asc"
+        write_asc_grid(ScalarGrid(np.ones((1, 2)), cellsize=cellsize), path)
+        back = read_asc_grid(path)
+        assert type(back.cellsize) is float and back.cellsize == float(cellsize)
+
     @settings(
         max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )

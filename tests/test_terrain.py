@@ -85,10 +85,6 @@ class TestHillshade:
         with pytest.raises(ValueError, match="3x3"):
             hillshade(ScalarGrid(np.zeros((2, 5))))
 
-    def test_missing_cellsize(self):
-        with pytest.raises(ValueError, match="cellsize"):
-            hillshade(ScalarGrid(np.zeros((4, 4)), cellsize=None))
-
     @settings(max_examples=150, deadline=None)
     @given(
         h=st.integers(3, 70),
