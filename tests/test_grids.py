@@ -110,6 +110,7 @@ ACCEPTED = [
     ("grid-int", ScalarGrid, (np.array([[1, -2]]),), np.float64, [[1.0, -2.0]]),
     ("grid-nodata-nan-free", ScalarGrid, (np.array([[-9999.0, 2.5]]), 1.0, -9999.0), np.float64, None),
     ("grid-all-nodata", ScalarGrid, (np.full((2, 2), -9999.0), 1.0, -9999.0), np.float64, None),
+    ("grid-no-cellsize", ScalarGrid, (np.zeros((1, 1)),), np.float64, None),
     ("grid-numpy-cellsize", ScalarGrid, (np.zeros((1, 1)), np.float64(0.5)), np.float64, None),
 ]
 

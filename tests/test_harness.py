@@ -29,6 +29,7 @@ from spoilseg import (
     write_pgm16,
     write_ppm,
 )
+from spoilseg.cli import main
 from spoilseg.sweep import ALGORITHMS, report_csv, report_json
 
 
@@ -280,6 +281,17 @@ class TestReports:
         assert report_csv(first) == report_csv(second)
         assert report_json(first) == report_json(second)
 
+    def test_unknown_format_rejected(self, tmp_path, pilefield):
+        # the sweep command writes CSV and JSON only; asking for another format is a usage error
+        hs, gt = pilefield
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.xml"
+        cfg_path.write_text(
+            json.dumps({"algorithm": "voronoi", "inputs": {"hillshade": str(hs), "ground_truth": str(gt)},
+                        "grid": {"sigma": [12.0]}})
+        )
+        assert main(["sweep", "--config", str(cfg_path), "--xml", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestIngest:
     def test_identity_through_the_pipeline(self, tmp_path):
@@ -309,6 +321,14 @@ class TestIngest:
         mask, info = ingest_external_mask(path, min_region=5)
         assert mask.region_count() == 1
         assert info["regions_before_filter"] == 2
+
+    def test_metadata_recorded(self, tmp_path):
+        # the library records the counts; the ingest command adds source and parameters
+        lab = np.ones((4, 4), dtype=np.int32)
+        path = tmp_path / "mask.pgm"
+        write_pgm16(LabelMap(lab), path)
+        _, info = ingest_external_mask(path, min_region=100)
+        assert info == {"min_region": 100, "regions_before_filter": 1, "regions": 0}
 
 
 class TestSynthPilefield:
@@ -398,6 +418,11 @@ class TestSynthPilefield:
             ({"bump_sigma": math.inf}, "bump_sigma must be < inf, got inf"),
             ({"bump_sigma": "8"}, "bump_sigma must be a number, got '8'"),
             ({"rng_seed": 1.5}, "rng_seed must be an integer, got 1.5"),
+            ({"cols": True}, "cols must be an integer, got True"),
+            ({"rng_seed": True}, "rng_seed must be an integer, got True"),
+            ({"bump_sigma": True}, "bump_sigma must be a number, got True"),
+            ({"bump_sigma": -1.0}, "bump_sigma must be > 0, got -1.0"),
+            ({"bump_sigma": 20.0}, "bump support falls outside the canvas"),
             ({"bump_sigma": 0.1, "n_bumps": 4}, "bump_sigma 0.1 is too small: mound 1 covers no cell"),
         ],
     )

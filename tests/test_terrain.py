@@ -85,6 +85,11 @@ class TestHillshade:
         with pytest.raises(ValueError, match="3x3"):
             hillshade(ScalarGrid(np.zeros((2, 5))))
 
+    def test_missing_cellsize(self):
+        # a grid without a cellsize cannot be built, so none reaches hillshade
+        with pytest.raises(ValueError, match="cellsize"):
+            hillshade(ScalarGrid(np.zeros((4, 4)), cellsize=None))
+
     @settings(max_examples=150, deadline=None)
     @given(
         h=st.integers(3, 70),
