@@ -79,7 +79,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
@@ -89,9 +89,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_sweep_config(args.config)
     report = run_sweep(cfg)
     if args.csv:
-        Path(args.csv).write_text(report_csv(report))
+        Path(args.csv).write_text(report_csv(report), encoding="utf-8")
     if args.json:
-        Path(args.json).write_text(report_json(report))
+        Path(args.json).write_text(report_json(report), encoding="utf-8")
     if not args.csv and not args.json:
         sys.stdout.write(report_json(report))
     if report.optimum is None:
@@ -112,7 +112,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     write_pgm16(mask, args.out)
     if args.report:
         info = {"source": args.source or "", "parameters": params, **counts}
-        Path(args.report).write_text(json.dumps(info, indent=2, sort_keys=True) + "\n")
+        Path(args.report).write_text(json.dumps(info, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 

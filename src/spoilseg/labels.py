@@ -27,8 +27,8 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     from 0 in the order of their lowest node, an order scipy does not
     document; the oracle tests pin it.
     """
-    # csgraph is imported here, not at module level: it costs about 0.1 s and
-    # 10 MB, which ``import spoilseg`` and the commands without a relabel skip
+    # csgraph is imported here, not at module level: as a process's first
+    # scipy import it costs about 0.3 s and 33 MB; synth and hillshade skip it
     from scipy.sparse import csgraph, csr_matrix
 
     indptr = np.zeros(n + 1, dtype=np.intp)

@@ -133,7 +133,8 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
     below 1x1, the first non-numeric row, the grid's own value check.
     """
     header: dict[str, str] = {}
-    with open(path) as stream:
+    # undecodable bytes become lone surrogates, which no number parses
+    with open(path, encoding="utf-8", errors="surrogateescape") as stream:
         info = os.fstat(stream.fileno())
         text = stream
         size = info.st_size  # bytes, at least one per character
@@ -218,7 +219,7 @@ def write_asc_grid(grid: ScalarGrid, path: str | os.PathLike) -> None:
     ]
     if grid.nodata is not None:
         header.append(f"NODATA_value {float(grid.nodata)!r}")
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(header) + "\n")
         for row in grid.values:
             f.write(" ".join(map(repr, row.tolist())) + "\n")

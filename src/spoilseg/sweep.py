@@ -115,7 +115,7 @@ class SweepConfig:
 
 def load_sweep_config(path: str | os.PathLike) -> SweepConfig:
     """Read a sweep configuration from its JSON file."""
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("sweep config must be a JSON object")
     for key in ("algorithm", "grid"):

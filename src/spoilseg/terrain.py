@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .grids import GrayImage, ScalarGrid, _check_params, _param
 
@@ -87,6 +86,11 @@ def hillshade(dsm: ScalarGrid, params: HillshadeParams | None = None) -> ScalarG
 
     out_nodata = _output_nodata(dsm.nodata)
     if dsm.nodata is not None:
+        # ndimage is imported only where a blur, a plateau search or this
+        # dilation needs it: it costs about 0.3 s and 28 MB per process,
+        # which the commands that run none of the three skip
+        from scipy import ndimage
+
         touched = ndimage.maximum_filter(dsm.nodata_mask.astype(np.uint8), size=3, mode="nearest")
         shade[touched > 0] = out_nodata
     return ScalarGrid(shade, cellsize=dsm.cellsize, nodata=out_nodata)

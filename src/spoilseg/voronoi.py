@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .grids import GrayImage, LabelMap, ScalarGrid, _check_params, _param
 
@@ -69,6 +68,8 @@ def gaussian_blur(img: GrayImage, sigma: float) -> ScalarGrid:
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
     kernel /= kernel.sum()
+    from scipy import ndimage  # here, not at module level: see terrain.hillshade
+
     out = ndimage.correlate1d(img.values.astype(np.float64), kernel, axis=1, mode="nearest")
     out = ndimage.correlate1d(out, kernel, axis=0, mode="nearest")
     return ScalarGrid(out)
@@ -89,6 +90,8 @@ def detect_local_maxima(grid: ScalarGrid, peak_radius: int) -> SeedSet:
     if grid.nodata is not None:
         v = np.where(grid.nodata_mask, -np.inf, v)
     size = 2 * peak_radius + 1
+    from scipy import ndimage  # here, not at module level: see terrain.hillshade
+
     candidates = v == ndimage.maximum_filter(v, size=size, mode="nearest")
     if grid.nodata is not None:
         candidates &= ~grid.nodata_mask

@@ -475,9 +475,10 @@ def read_asc_whole(path) -> tuple[np.ndarray, float, float | None]:
 
     Returns the raw (values, cellsize, nodata) before any check of the values
     themselves, or raises ``AscFormatError`` for the first fault in the order
-    the format documents.
+    the format documents.  The text is UTF-8; other bytes read as lone
+    surrogates, which no number parses.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         lines = f.read().splitlines()
     header: dict[str, str] = {}
     row_lines: list[list[str]] = []

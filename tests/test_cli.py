@@ -17,6 +17,7 @@ from spoilseg import (
     LabelMap,
     MeanShiftParams,
     RasterRGB,
+    ScalarGrid,
     SlicParams,
     StretchParams,
     SweepConfig,
@@ -30,6 +31,7 @@ from spoilseg import (
     run_sweep,
     sigmoidal_stretch,
     synth_pilefield,
+    write_asc_grid,
     write_gray_pgm16,
     write_pgm16,
     write_ppm,
@@ -380,17 +382,20 @@ class TestUsageErrors:
         assert "--k" in capsys.readouterr().out
 
 
+def run_python(args, cwd, **env_overrides):
+    """Run the interpreter on ``args`` in a child process that imports this checkout's spoilseg."""
+    env = dict(os.environ, **env_overrides)
+    src = str(Path(spoilseg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestModuleEntryPoint:
     """``python -m spoilseg`` and ``python -m spoilseg.cli`` run the CLI."""
 
     @staticmethod
     def run(module, args, cwd):
-        env = dict(os.environ)
-        src = str(Path(spoilseg.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", module, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
-        )
+        return run_python(["-m", module, *args], cwd)
 
     @pytest.mark.parametrize("module", ["spoilseg", "spoilseg.cli"])
     def test_synth_writes_files(self, tmp_path, module):
@@ -410,6 +415,91 @@ class TestModuleEntryPoint:
         done = self.run("spoilseg", ["bogus"], tmp_path)
         assert done.returncode == 1
         assert json.loads(done.stderr)["error"] == "UsageError"
+
+
+class TestNdimageOnlyWhereUsed:
+    """Only a blur, a plateau search or a nodata dilation imports scipy.ndimage.
+
+    Each command runs in a fresh process, which reports whether ndimage got
+    loaded; the two commands that must load it keep the check from passing
+    vacuously.
+    """
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("inputs")
+        argv = ["synth", "--rows", "60", "--cols", "60", "--bumps", "1", "--bump-sigma", "6"]
+        argv += ["--dsm", str(d / "dsm.asc"), "--gt", str(d / "gt.pgm"), "--out-stretched", str(d / "st.pgm")]
+        assert main(argv) == 0
+        rng = np.random.default_rng(0)
+        write_ppm(RasterRGB(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)), d / "rgb.ppm")
+        values = rng.random((16, 16))
+        values[4:6, 4:6] = -9999.0
+        write_asc_grid(ScalarGrid(values, nodata=-9999.0), d / "holes.asc")
+        return d
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            ("synth --rows 60 --cols 60 --bumps 1 --dsm {o}/d.asc --gt {o}/g.pgm --out-stretched {o}/s.pgm", False),
+            ("hillshade --dsm {i}/dsm.asc --out {o}/h.pgm", False),
+            ("segment slic --in {i}/rgb.ppm --k 4 --out {o}/s.pgm", False),
+            ("segment meanshift --in {i}/rgb.ppm --hs 2 --hr 8 --out {o}/m.pgm", False),
+            ("evaluate --gt {i}/gt.pgm --pred {i}/gt.pgm --out {o}/e.json", False),
+            ("ingest --in {i}/gt.pgm --out {o}/n.pgm --min-region 2 --report {o}/r.json", False),
+            ("hillshade --dsm {i}/holes.asc --out {o}/h.pgm", True),
+            ("segment voronoi --in {i}/st.pgm --sigma 2 --out {o}/v.pgm", True),
+        ],
+        ids=["synth", "hillshade", "slic", "meanshift", "evaluate", "ingest", "hillshade-nodata", "voronoi"],
+    )
+    def test_command_loads_ndimage_only_if_it_blurs(self, inputs, tmp_path, argv, loaded):
+        code = "import sys; from spoilseg.cli import main; print(main(sys.argv[1:]), 'scipy.ndimage' in sys.modules)"
+        done = run_python(["-c", code, *(arg.format(i=inputs, o=tmp_path) for arg in argv.split())], tmp_path)
+        assert done.stdout.split() == ["0", str(loaded)], done.stderr
+
+
+class TestLocale:
+    """Text files are UTF-8 whatever the process locale."""
+
+    # the C locale without Python's UTF-8 coercion, where glibc's locale encoding is ASCII
+    C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    READ = """
+import codecs, locale, sys
+from spoilseg import read_asc_grid
+print(codecs.lookup(locale.getpreferredencoding(False)).name)
+for path in sys.argv[1:]:
+    try:
+        print(read_asc_grid(path).values.tolist())
+    except ValueError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+    def test_sweep_and_asc_read_give_the_same_bytes_in_the_c_locale(self, synth_files, tmp_path):
+        _, gt, stretched = synth_files
+        config = {
+            "algorithm": "voronoi",
+            "inputs": {"hillshade": str(stretched), "ground_truth": str(gt)},
+            "grid": {"sigma": [2.0, "é"]},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        header = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+        (tmp_path / "digit.asc").write_text(header + "\u0661 2\n", encoding="utf-8")  # an Arabic-Indic one
+        (tmp_path / "bytes.asc").write_bytes(header.encode() + b"\xff\xfe 2\n")  # not UTF-8
+        sweep = ["-m", "spoilseg", "sweep", "--config", "config.json", "--csv", "r.csv", "--json", "r.json"]
+        outputs = []
+        for env in ({}, self.C_LOCALE):
+            done = run_python(sweep, tmp_path, **env)
+            assert done.returncode == 0, done.stderr
+            reports = [(tmp_path / name).read_bytes() for name in ("r.csv", "r.json")]
+            done = run_python(["-c", self.READ, "digit.asc", "bytes.asc"], tmp_path, **env)
+            assert done.returncode == 0, done.stderr
+            encoding, *reads = done.stdout.splitlines()
+            outputs.append((encoding, reports, reads))
+        (_, reports, reads), (c_encoding, *c_outputs) = outputs
+        assert c_encoding != "utf-8"  # the C locale is in force, not coerced to UTF-8
+        assert c_outputs == [reports, reads]
+        assert "é".encode() in reports[0]
+        assert reads == ["[[1.0, 2.0]]", "FormatError expected 1 data rows, got 0"]
 
 
 class TestIngestCli:

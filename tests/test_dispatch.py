@@ -2,11 +2,12 @@
 
 numpy picks SIMD kernels at import time from the CPU's features, so the
 float64 bits of ``exp``, ``power`` and friends can differ between an
-AVX-512 host and one without it.  The label maps, 8-bit images and Hoover
-scores must not.  The test reruns a small end-to-end fixture in a child
-process with ``NPY_DISABLE_CPU_FEATURES`` naming every AVX-512 dispatch
-target this numpy build found, which mimics an x86 host without AVX-512,
-and compares the integer outputs with this process's.  It skips where no
+AVX-512 host and one without it.  The label maps, 8-bit images, Hoover
+scores and the bytes of the sweep and ``evaluate`` reports must not.  The
+test reruns a small end-to-end fixture in a child process with
+``NPY_DISABLE_CPU_FEATURES`` naming every AVX-512 dispatch target this
+numpy build found, which mimics an x86 host without AVX-512, and compares
+the integer outputs and reports with this process's.  It skips where no
 such target is found.
 
 Run as a script, the module prints the fixture's digests as JSON.
@@ -17,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,17 +29,24 @@ from spoilseg import (
     MeanShiftParams,
     RasterRGB,
     SlicParams,
+    SweepConfig,
     VoronoiParams,
     evaluate_segmentation,
     hillshade,
     mean_shift_segment,
     quantize8,
     rgb_to_lab,
+    run_sweep,
     sigmoidal_stretch,
     slic,
     synth_pilefield,
     voronoi_pipeline,
+    write_gray_pgm16,
+    write_pgm16,
+    write_ppm,
 )
+from spoilseg.cli import main
+from spoilseg.sweep import report_csv, report_json
 
 # Other AVX-512 names, such as AVX512F, make numpy emit an ImportWarning.
 AVX512_TARGETS = [
@@ -48,10 +57,13 @@ AVX512_TARGETS = [
 
 
 def fixture_digests() -> dict[str, str]:
-    """sha256 of every integer output of a 160x160 run of each pipeline."""
+    """sha256 of every integer output and report of a 160x160 run of each pipeline."""
 
     def digest(a: np.ndarray) -> str:
         return hashlib.sha256(f"{a.dtype}{a.shape}".encode() + np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    def text_digest(text: str) -> str:
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     out = {}
     dsm, gt = synth_pilefield(160, 160, 9, 5.0, 3)
@@ -78,6 +90,23 @@ def fixture_digests() -> dict[str, str]:
     crop = RasterRGB(ortho.pixels[40:80, 40:80].copy())
     ms = mean_shift_segment(crop, MeanShiftParams(spatial_radius=4, range_radius=12, min_region_size=40))
     out["meanshift"] = digest(ms.labels)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp, name)) for name in ("gt.pgm", "img8.pgm", "ortho.ppm", "v.pgm", "eval.json")}
+        write_pgm16(gt, paths["gt.pgm"])
+        write_gray_pgm16(img8, paths["img8.pgm"])
+        write_ppm(ortho, paths["ortho.ppm"])
+        sweeps = {
+            "voronoi": SweepConfig("voronoi", {"sigma": [3.0, 6.0]}, paths["gt.pgm"], hillshade=paths["img8.pgm"]),
+            "slic": SweepConfig("slic", {"superpixels": [60, 120]}, paths["gt.pgm"], image=paths["ortho.ppm"]),
+        }
+        for name, cfg in sweeps.items():
+            report = run_sweep(cfg)
+            out[f"sweep_{name}_csv"] = text_digest(report_csv(report))
+            out[f"sweep_{name}_json"] = text_digest(report_json(report))
+        write_pgm16(voronoi_pipeline(img8, VoronoiParams(sigma=6.0)), paths["v.pgm"])
+        assert main(["evaluate", "--gt", paths["gt.pgm"], "--pred", paths["v.pgm"], "--out", paths["eval.json"]]) == 0
+        out["evaluate_json"] = hashlib.sha256(Path(paths["eval.json"]).read_bytes()).hexdigest()
     return out
 
 

@@ -111,13 +111,17 @@ def test_link_components_match_the_doubled_grid(seed, h, w):
     assert np.array_equal(_link_components(modes, p), expected)
 
 
-def test_importing_the_package_does_not_load_csgraph():
-    # the components kernel imports scipy.sparse.csgraph on first use; at
-    # package import it would cost every command about 0.1 s
+@pytest.mark.parametrize("module", ["scipy.ndimage", "scipy.sparse.csgraph", "scipy"])
+@pytest.mark.parametrize("package", ["spoilseg", "spoilseg.cli"])
+def test_importing_the_package_does_not_load_scipy(package, module):
+    # the components kernel imports scipy.sparse.csgraph, and the blur, the
+    # plateau search and the nodata dilation import scipy.ndimage, on first
+    # use; no other module needs scipy, and at package import each would
+    # cost every command about 0.3 s
     env = dict(os.environ)
     src = str(Path(spoilseg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, spoilseg; print('scipy.sparse.csgraph' in sys.modules)"
+    code = f"import sys, {package}; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
