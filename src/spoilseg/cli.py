@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -99,9 +100,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _text(arg: str) -> str:
+    """A command-line argument as UTF-8 text, whichever locale decoded ``sys.argv``;
+    text the locale cannot encode came from a caller of :func:`main` and is kept."""
+    try:
+        return os.fsencode(arg).decode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        return arg
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
     params = {}
-    for item in args.param or []:
+    for item in map(_text, args.param or []):
         if "=" not in item:
             raise ValueError(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
@@ -111,7 +121,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     mask, counts = ingest_external_mask(args.input, args.min_region)
     write_pgm16(mask, args.out)
     if args.report:
-        info = {"source": args.source or "", "parameters": params, **counts}
+        info = {"source": _text(args.source or ""), "parameters": params, **counts}
         Path(args.report).write_text(json.dumps(info, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

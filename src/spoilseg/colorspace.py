@@ -28,18 +28,19 @@ _BAND = 64
 def rgb_to_lab(img: RasterRGB) -> LabImage:
     """Convert 8-bit sRGB to CIELAB via linear RGB and XYZ (D65).
 
-    The image is converted in bands of ``_BAND`` rows into one output array.
-    Every pixel goes through the same operations as in one whole-image pass;
-    the ``@`` multiplies each row's (w, 3) matrix on its own either way.
+    The image is converted in bands of ``_BAND`` rows into planar (3, h, w)
+    storage; ``values`` is its channel-last view, so SLIC reads L, a and b in
+    place.  Every pixel goes through the same operations as in one whole-image
+    pass; the ``@`` multiplies each row's (w, 3) matrix on its own either way.
     """
     h, w, _ = img.pixels.shape
-    lab = np.empty((h, w, 3), dtype=np.float64)
+    planes = np.empty((3, h, w), dtype=np.float64)
     for top in range(0, h, _BAND):
         linear = _LINEAR[img.pixels[top : top + _BAND]]
         xyz = linear @ _SRGB_TO_XYZ.T / _D65_WHITE
         f = np.where(xyz > _EPS, np.cbrt(xyz), xyz / (3.0 * (6.0 / 29.0) ** 2) + 4.0 / 29.0)
-        band = lab[top : top + _BAND]
-        band[..., 0] = 116.0 * f[..., 1] - 16.0
-        band[..., 1] = 500.0 * (f[..., 0] - f[..., 1])
-        band[..., 2] = 200.0 * (f[..., 1] - f[..., 2])
-    return LabImage(lab)
+        band = planes[:, top : top + _BAND]
+        band[0] = 116.0 * f[..., 1] - 16.0
+        band[1] = 500.0 * (f[..., 0] - f[..., 1])
+        band[2] = 200.0 * (f[..., 1] - f[..., 2])
+    return LabImage(np.moveaxis(planes, 0, -1))

@@ -7,11 +7,11 @@ D = sqrt(d_lab^2 + (d_xy / S)^2 * m^2) with compactness weight m.  A final
 connectivity pass absorbs fragments below a quarter of the nominal
 superpixel area into the neighbour sharing the longest boundary.
 
-The assignment kernel works on the image split once per call into
-contiguous L, a, b planes, which also feed the center update.  It builds
-each window's distances in place in the same floating-point order as the
-plain (h, w, 3) window loop, so its labels are bit-identical to that loop,
-which tests/oracles.py keeps as ``slic_assign_loop``.
+The assignment kernel and the center update read contiguous L, a, b planes:
+views when the image is planar, as ``rgb_to_lab`` stores it, else copies.
+The kernel builds each window's distances in place in the same floating-point
+order as the plain (h, w, 3) window loop, so its labels are bit-identical to
+that loop, which tests/oracles.py keeps as ``slic_assign_loop``.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ class SlicParams:
 
 _NEIGHBOURS = np.array([(0, 0)] + [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx])
 _ORPHAN_BLOCK_CELLS = 1 << 18  # (orphan, center) distances held at once by the fallback
+_UPDATE_BAND_PIXELS = 1 << 16  # pixels per row band of the center update's x and y sums
 
 
 def _split_planes(lab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contiguous float64 L, a, b planes of an (h, w, 3) image."""
+    """Contiguous float64 L, a, b planes of an (h, w, 3) image, views of planar storage."""
     return tuple(np.ascontiguousarray(lab[..., c], dtype=np.float64) for c in range(3))
 
 
@@ -131,23 +132,38 @@ def slic_assign(
 def _cluster(lab: np.ndarray, p: SlicParams) -> np.ndarray:
     """Seed, then alternate assignment and center update: int32 labels 1..k.
 
-    Kept apart from :func:`slic` so the planes, pixel grids and assignment
-    buffers are freed before the small regions merge.
+    Kept apart from :func:`slic` so the planes and assignment buffers are
+    freed before the small regions merge.
     """
     h, w, _ = lab.shape
     step = max(1, round(math.sqrt(h * w / p.superpixels)))
     centers = _seed_centers(lab, step)
     planes = _split_planes(lab)
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    # x and y are summed per center in row bands, from one band of x offsets,
+    # one of local y offsets and y0 * count for the band at row y0.  Every
+    # partial sum is an integer below h * w * max(h, w), exact in float64 while
+    # that is below 2**53 (sides up to about 200,000), so the sums equal those
+    # over whole-image coordinate grids in any order.
+    rows = max(1, _UPDATE_BAND_PIXELS // w)
+    xs = np.tile(np.arange(w, dtype=np.float64), rows)
+    ys = np.repeat(np.arange(rows, dtype=np.float64), w)
 
+    n = len(centers)
     assign = _assign_planes(planes, centers, step, p.compactness)
     for _ in range(p.iterations - 1):
-        counts = np.bincount(assign.ravel(), minlength=len(centers)).astype(np.float64)
+        flat = assign.ravel()
+        counts = np.bincount(flat, minlength=n).astype(np.float64)
+        sums = np.zeros((5, n))
+        for col, plane in enumerate(planes):
+            sums[col] = np.bincount(flat, weights=plane.ravel(), minlength=n)
+        for y0 in range(0, h, rows):
+            band = flat[y0 * w : (y0 + rows) * w]
+            sums[3] += np.bincount(band, weights=xs[: band.size], minlength=n)
+            sums[4] += np.bincount(band, weights=ys[: band.size], minlength=n)
+            sums[4] += y0 * np.bincount(band, minlength=n)
         nonempty = counts > 0
-        for col, feat in enumerate([*planes, xs, ys]):
-            sums = np.bincount(assign.ravel(), weights=feat.ravel(), minlength=len(centers))
-            centers[nonempty, col] = sums[nonempty] / counts[nonempty]
-        del assign  # not held while the next sweep builds its own
+        centers[nonempty] = (sums[:, nonempty] / counts[nonempty]).T
+        del assign, flat, band  # no view of the map is held while the next sweep builds its own
         assign = _assign_planes(planes, centers, step, p.compactness)
     labels = assign.astype(np.int32)
     labels += 1

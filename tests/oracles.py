@@ -418,6 +418,26 @@ def nearest_center_exhaustive(lab: np.ndarray, centers: np.ndarray, step: int, c
     return out
 
 
+def slic_cluster_mgrid(lab: np.ndarray, superpixels: int, compactness: float, iterations: int) -> np.ndarray:
+    """SLIC clustering before the merge, int32 labels 1..k: loop seeding and
+    assignment, and each center update as one ``bincount`` per feature over
+    whole-image float64 L, a, b, x and y planes (x and y from ``np.mgrid``)."""
+    h, w, _ = lab.shape
+    step = max(1, round(math.sqrt(h * w / superpixels)))
+    centers = seed_centers_loop(lab, step)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    feats = [np.ascontiguousarray(lab[..., c], dtype=np.float64) for c in range(3)] + [xs, ys]
+    assign = slic_assign_loop(lab, centers, step, compactness)
+    for _ in range(iterations - 1):
+        counts = np.bincount(assign.ravel(), minlength=len(centers)).astype(np.float64)
+        nonempty = counts > 0
+        for col, feat in enumerate(feats):
+            sums = np.bincount(assign.ravel(), weights=feat.ravel(), minlength=len(centers))
+            centers[nonempty, col] = sums[nonempty] / counts[nonempty]
+        assign = slic_assign_loop(lab, centers, step, compactness)
+    return (assign + 1).astype(np.int32)
+
+
 def synth_pilefield_full(
     rows: int,
     cols: int,

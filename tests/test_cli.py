@@ -501,6 +501,22 @@ for path in sys.argv[1:]:
         assert "é".encode() in reports[0]
         assert reads == ["[[1.0, 2.0]]", "FormatError expected 1 data rows, got 0"]
 
+    def test_ingest_report_gives_the_same_bytes_in_the_c_locale(self, tmp_path):
+        write_pgm16(LabelMap(np.ones((4, 4), dtype=np.int32)), tmp_path / "mask.pgm")
+        argv = ["ingest", "--in", "mask.pgm", "--out", "o.pgm", "--source", "é", "--param", "ké=é", "--report", "r.json"]
+        # the same arguments as process argv bytes, and as text passed to main() in-process
+        calls = [["-m", "spoilseg", *argv], ["-c", f"from spoilseg.cli import main; raise SystemExit(main({ascii(argv)}))"]]
+        reports = []
+        for env in ({}, self.C_LOCALE):
+            for call in calls:
+                (tmp_path / "r.json").unlink(missing_ok=True)
+                done = run_python(call, tmp_path, **env)
+                assert done.returncode == 0, done.stderr
+                reports.append((tmp_path / "r.json").read_bytes())
+        assert reports == reports[:1] * 4
+        meta = json.loads(reports[0])
+        assert (meta["source"], meta["parameters"]) == ("é", {"ké": "é"})
+
 
 class TestIngestCli:
     def test_ingest_with_report(self, tmp_path):

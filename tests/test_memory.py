@@ -6,8 +6,10 @@ grid's size, set from measurement with some headroom: on the terrain path
 the output, a mask and the value check of the result; on the colour path
 the 24 B/px Lab output plus band temporaries (``rgb_to_lab``), the label
 maps and the components kernel's run ids (``merge_small_regions``), and
-SLIC's planes, pixel grids and assignment buffers, freed before its merge
-(``slic``).  ``relabel_connected`` holds the neighbour masks, one int32 run
+SLIC's assignment buffers, freed before its merge (``slic``): its L, a, b
+planes are views of ``rgb_to_lab``'s planar output and its center update
+sums coordinates in row bands, so the whole ortho -> Lab -> SLIC chain
+peaks in the Lab conversion.  ``relabel_connected`` holds the neighbour masks, one int32 run
 id and the int32 output per pixel.  ``quantize8`` holds one float64 work
 array, the nodata mask and the uint8 output.
 ``evaluate_segmentation`` of the pile field's ground truth against a
@@ -187,7 +189,12 @@ def test_merge_small_regions(superpixel_map):
 
 def test_slic(ortho):
     lab = rgb_to_lab(ortho)
-    assert peak_bytes_per_pixel(lambda: slic(lab, SlicParams(superpixels=150))) <= 68
+    assert peak_bytes_per_pixel(lambda: slic(lab, SlicParams(superpixels=150))) <= 24
+
+
+def test_rgb_to_lab_then_slic(ortho):
+    # a copy of the Lab planes inside slic would add 24 on top of the Lab image
+    assert peak_bytes_per_pixel(lambda: slic(rgb_to_lab(ortho), SlicParams(superpixels=150))) <= 50
 
 
 def test_evaluate_segmentation(pilefield, superpixel_map):

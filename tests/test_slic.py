@@ -1,6 +1,7 @@
 """SLIC superpixels and small-region merging."""
 
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +15,20 @@ from oracles import (
     nearest_center_exhaustive,
     seed_centers_loop,
     slic_assign_loop,
+    slic_cluster_mgrid,
 )
-from spoilseg import LabelMap, LabImage, SlicParams, merge_small_regions, relabel_connected, slic
+from spoilseg import (
+    LabelMap,
+    LabImage,
+    RasterRGB,
+    SlicParams,
+    merge_small_regions,
+    relabel_connected,
+    rgb_to_lab,
+    slic,
+)
 from spoilseg.labels import _boundary_table
-from spoilseg.slic import _seed_centers, slic_assign
+from spoilseg.slic import _cluster, _seed_centers, _split_planes, slic_assign
 
 slic_module = importlib.import_module("spoilseg.slic")  # the package's `slic` is the function
 
@@ -91,8 +102,13 @@ class TestSlic:
         assert a.as_floats() == b.as_floats()
 
 
+LAYOUTS = ["contiguous", "transposed", "strided", "planar"]
+
+
 def chromatic_lab(rng, h: int, w: int, layout: str) -> np.ndarray:
-    """Lab values on a coarse grid (frequent distance ties), stored contiguous or as a strided view."""
+    """Lab values on a coarse grid (frequent distance ties), stored contiguous,
+    as a strided view, or planar: the channel-last view of (3, h, w) storage,
+    as ``rgb_to_lab`` returns it."""
     lab = rng.integers(-4, 5, size=(h, w, 3)) * 12.5
     lab[..., 0] += 50.0
     if layout == "transposed":
@@ -101,6 +117,8 @@ def chromatic_lab(rng, h: int, w: int, layout: str) -> np.ndarray:
         wide = np.zeros((h, 2 * w, 3))
         wide[:, ::2] = lab
         return wide[:, ::2]
+    if layout == "planar":
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(lab, -1, 0)), 0, -1)
     return lab
 
 
@@ -112,11 +130,12 @@ class TestSeedCenters:
         w=st.integers(1, 14),
         step=st.integers(1, 6),
         kind=st.sampled_from(["uniform", "two-tone", "chromatic", "noisy"]),
+        layout=st.sampled_from(LAYOUTS),
     )
-    @example(seed=0, h=1, w=1, step=1, kind="uniform")
-    @example(seed=0, h=1, w=1, step=3, kind="chromatic")
-    @example(seed=0, h=2, w=9, step=1, kind="two-tone")
-    def test_matches_triple_loop(self, seed, h, w, step, kind):
+    @example(seed=0, h=1, w=1, step=1, kind="uniform", layout="contiguous")
+    @example(seed=0, h=1, w=1, step=3, kind="chromatic", layout="planar")
+    @example(seed=0, h=2, w=9, step=1, kind="two-tone", layout="contiguous")
+    def test_matches_triple_loop(self, seed, h, w, step, kind, layout):
         # small images and steps put grid cells on the image edge; plateaus
         # (uniform, two-tone) test that equal gradients never move a center
         rng = np.random.default_rng(seed)
@@ -126,7 +145,7 @@ class TestSeedCenters:
             lab = np.zeros((h, w, 3))
             lab[:, : w // 2, 0] = 80.0
         elif kind == "chromatic":
-            lab = chromatic_lab(rng, h, w, "contiguous")
+            lab = chromatic_lab(rng, h, w, layout)
         else:
             lab = rng.uniform(-50, 50, size=(h, w, 3))
         assert np.array_equal(_seed_centers(lab, step), seed_centers_loop(lab, step))
@@ -161,10 +180,11 @@ class TestSlicAssign:
         step=st.integers(1, 5),
         k=st.integers(1, 8),
         duplicates=st.booleans(),
-        layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+        layout=st.sampled_from(LAYOUTS),
         compactness=st.sampled_from([0.5, 10.0, 30.0]),
     )
     @example(seed=1, h=6, w=7, step=1, k=4, duplicates=True, layout="strided", compactness=10.0)
+    @example(seed=1, h=6, w=7, step=1, k=4, duplicates=True, layout="planar", compactness=10.0)
     def test_matches_window_loop(self, seed, h, w, step, k, duplicates, layout, compactness):
         # centers range past the border (clipped or empty windows, orphan
         # pixels); integer positions and coarse colours make exact ties
@@ -201,6 +221,48 @@ class TestSlicAssign:
         assert np.array_equal(ours[orphans], nearest_center_exhaustive(lab, centers, step, m)[orphans])
         assert np.array_equal(ours, slic_assign_loop(lab, centers, step, m))
         assert not (ours == 2).any()
+
+
+class TestCluster:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(1, 14),
+        w=st.integers(1, 14),
+        band_rows=st.sampled_from([1, 3, None]),
+        k=st.integers(1, 9),
+        iterations=st.integers(1, 4),
+        layout=st.sampled_from(LAYOUTS),
+        compactness=st.sampled_from([0.5, 10.0, 30.0]),
+    )
+    @example(seed=2, h=1, w=14, band_rows=3, k=3, iterations=4, layout="planar", compactness=10.0)
+    @example(seed=3, h=14, w=1, band_rows=3, k=3, iterations=4, layout="contiguous", compactness=10.0)
+    @example(seed=4, h=13, w=5, band_rows=3, k=6, iterations=3, layout="planar", compactness=0.5)
+    def test_matches_mgrid_update_oracle(self, seed, h, w, band_rows, k, iterations, layout, compactness):
+        # bands of 3 rows end short of most heights; None makes the whole image one band
+        rng = np.random.default_rng(seed)
+        lab = chromatic_lab(rng, h, w, layout)
+        k = min(k, h * w)
+        rows = h if band_rows is None else band_rows
+        with mock.patch.object(slic_module, "_UPDATE_BAND_PIXELS", rows * w):
+            ours = _cluster(lab, SlicParams(superpixels=k, compactness=compactness, iterations=iterations))
+        assert np.array_equal(ours, slic_cluster_mgrid(lab, k, compactness, iterations))
+
+
+class TestPlanarLab:
+    def test_planar_and_interleaved_storage_give_the_same_labels(self):
+        interleaved = chromatic_lab(np.random.default_rng(3), 40, 40, "contiguous")
+        planar = chromatic_lab(np.random.default_rng(3), 40, 40, "planar")
+        assert np.array_equal(planar, interleaved) and not planar.flags.c_contiguous
+        p = SlicParams(superpixels=16, compactness=10)
+        assert np.array_equal(slic(LabImage(planar), p).labels, slic(LabImage(interleaved), p).labels)
+
+    def test_planes_of_an_rgb_to_lab_image_are_views(self):
+        # a copy here would bring back 24 B/px on the ortho -> Lab -> SLIC path
+        px = np.random.default_rng(5).integers(0, 256, size=(6, 9, 3), dtype=np.uint8)
+        lab = rgb_to_lab(RasterRGB(px)).values
+        for plane in _split_planes(lab):
+            assert np.shares_memory(plane, lab)
 
 
 class TestEnforceConnectivity:
