@@ -43,9 +43,11 @@ class Algorithm(NamedTuple):
 
 
 # The lambdas look their functions up when called, so a wrapper installed on
-# a module attribute (a tracer, a test double) sees every call.  Mean shift
-# and SLIC end in ``merge_small_regions``, already connected 1..K; only the
-# Voronoi cells, split by the foreground mask, need relabelling.
+# a module attribute (a tracer, a test double) before a sweep starts runs for
+# every row.  Rows that run in forked workers call the workers' copy of it:
+# what it records there stays there, and the parent sees only its own rows.
+# Mean shift and SLIC end in ``merge_small_regions``, already connected 1..K;
+# only the Voronoi cells, split by the foreground mask, need relabelling.
 ALGORITHMS = {
     "meanshift": Algorithm(
         MeanShiftParams,
@@ -155,12 +157,81 @@ class SweepReport:
         return None if self.optimum_index is None else self.rows[self.optimum_index]
 
 
+def _run_row(context: tuple, values: dict) -> SweepRow:
+    """Segment and score one grid row; a failing row records its error."""
+    algo, raster, gt, threshold, base_params = context
+    row = SweepRow(params=values)
+    try:
+        seg = algo.segment(raster, algo.params(**{**base_params, **values}))
+        row.scores = evaluate_segmentation(gt, seg, threshold)
+    except Exception as exc:  # recorded, not fatal: one bad row must not kill the sweep
+        row.error = f"{type(exc).__name__}: {exc}"
+    return row
+
+
+_worker_context: tuple | None = None  # set in each forked worker by _start_worker
+
+
+def _start_worker(context: tuple) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _run_worker_row(values: dict) -> SweepRow:
+    return _run_row(_worker_context, values)
+
+
+def _worker_count(rows: int) -> int:
+    """Processes for a sweep of ``rows`` rows, the parent included.
+
+    One per usable core, at most one per row; 1 where the platform cannot
+    report its usable cores or cannot fork.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    w = min(rows, len(os.sched_getaffinity(0)))
+    if w > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return w
+
+
+def _run_rows(context: tuple, grid_rows: list[dict]) -> list[SweepRow]:
+    """Run every row, in ``w`` processes where more than one core is usable.
+
+    The parent runs rows 0, w, 2w, ... itself while ``w - 1`` forked workers
+    take the others; the rows come back in declared order.  Under fork the
+    workers inherit ``context`` (the input raster and the ground truth)
+    instead of receiving it through a pipe: only the rows' parameters and
+    results are pickled.  The parent's share means a long-lived process pays
+    ``scipy.ndimage``'s lazy import once, not once per worker per sweep.
+    """
+    w = _worker_count(len(grid_rows))
+    if w == 1:
+        return [_run_row(context, values) for values in grid_rows]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        w - 1, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(context,)
+    )
+    try:
+        futures = {i: pool.submit(_run_worker_row, values) for i, values in enumerate(grid_rows) if i % w}
+        own = {i: _run_row(context, values) for i, values in enumerate(grid_rows) if i % w == 0}
+        return [own[i] if i % w == 0 else futures[i].result() for i in range(len(grid_rows))]
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins every worker, on success or failure
+
+
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Execute every combination of the grid in declared order.
 
     A failing combination is recorded with its error and excluded from the
     optimum, which maximises correct detection with earlier rows winning
-    ties.
+    ties.  Rows run in parallel processes where several cores are usable
+    (:func:`_run_rows`); the report is the same either way.
     """
     algo = ALGORITHMS[cfg.algorithm]
     gt = relabel_connected(read_pgm16(cfg.ground_truth))
@@ -169,17 +240,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     raster = algo.load(getattr(cfg, algo.input_key))
 
     names = list(cfg.grid)
-    rows: list[SweepRow] = []
-    for values in product(*(cfg.grid[name] for name in names)):
-        params = dict(cfg.base_params)
-        params.update(dict(zip(names, values)))
-        row = SweepRow(params=dict(zip(names, values)))
-        try:
-            seg = algo.segment(raster, algo.params(**params))
-            row.scores = evaluate_segmentation(gt, seg, cfg.threshold)
-        except Exception as exc:  # recorded, not fatal: one bad row must not kill the sweep
-            row.error = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+    grid_rows = [dict(zip(names, values)) for values in product(*(cfg.grid[name] for name in names))]
+    rows = _run_rows((algo, raster, gt, cfg.threshold, cfg.base_params), grid_rows)
 
     scored = [i for i, row in enumerate(rows) if row.scores is not None]
     optimum_index = max(scored, key=lambda i: rows[i].scores.correct_detection, default=None)  # first max wins

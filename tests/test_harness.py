@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
 from fractions import Fraction
 
@@ -30,7 +32,7 @@ from spoilseg import (
     write_ppm,
 )
 from spoilseg.cli import main
-from spoilseg.sweep import ALGORITHMS, report_csv, report_json
+from spoilseg.sweep import ALGORITHMS, _worker_count, report_csv, report_json
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +218,135 @@ class TestRunSweep:
         _, gt = pilefield
         with pytest.raises(ValueError, match="image"):
             SweepConfig(algorithm="slic", grid={"superpixels": [4]}, ground_truth=str(gt))
+
+
+def serial(monkeypatch):
+    """Force the serial path: the process may use only one core."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+needs_two_cores = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2, reason="one usable core: no workers"
+)
+
+
+@pytest.fixture
+def color_inputs(tmp_path):
+    """A two-tone and a noisy 24x24 image with a two-region ground truth."""
+    px = np.zeros((24, 24, 3), dtype=np.uint8)
+    px[:, 12:] = 200
+    write_ppm(RasterRGB(px), tmp_path / "tones.ppm")
+    noisy = np.random.default_rng(33).integers(0, 255, size=(24, 24, 3)).astype(np.uint8)
+    write_ppm(RasterRGB(noisy), tmp_path / "noisy.ppm")
+    gt = np.ones((24, 24), dtype=np.int32)
+    gt[:, 12:] = 2
+    write_pgm16(LabelMap(gt), tmp_path / "gt.pgm")
+    return tmp_path
+
+
+class TestParallelRows:
+    # every grid puts an error row at index 1, which a worker runs whenever
+    # more than one core is usable
+    def configs(self, pilefield, root):
+        hs, gt = pilefield
+        return {
+            "voronoi": voronoi_config(hs, gt, {"sigma": [6.0, -1.0, 12.0, 60.0]}),
+            "slic": SweepConfig(
+                algorithm="slic",
+                grid={"superpixels": [4, 9], "compactness": [10.0, math.inf]},
+                ground_truth=str(root / "gt.pgm"),
+                image=str(root / "noisy.ppm"),
+            ),
+            "meanshift": SweepConfig(
+                algorithm="meanshift",
+                grid={"spatial_radius": [2.0], "range_radius": [30.0, -1.0, 10.0]},
+                ground_truth=str(root / "gt.pgm"),
+                image=str(root / "tones.ppm"),
+                base_params={"min_region_size": 8},
+            ),
+        }
+
+    @pytest.mark.parametrize("algorithm", ["voronoi", "slic", "meanshift"])
+    def test_parallel_and_serial_reports_are_byte_identical(self, pilefield, color_inputs, monkeypatch, algorithm):
+        cfg = self.configs(pilefield, color_inputs)[algorithm]
+        parallel = run_sweep(cfg)
+        assert multiprocessing.active_children() == []
+        assert parallel.rows[1].error is not None
+        assert sum(row.scores is not None for row in parallel.rows) >= 2
+        serial(monkeypatch)
+        assert _worker_count(len(parallel.rows)) == 1
+        alone = run_sweep(cfg)
+        assert report_csv(parallel) == report_csv(alone)
+        assert report_json(parallel) == report_json(alone)
+
+    @needs_two_cores
+    def test_parent_takes_every_wth_row(self, pilefield, monkeypatch):
+        def segment(img, p):  # each row's error names the process that ran it
+            raise RuntimeError(os.getpid())
+
+        monkeypatch.setitem(ALGORITHMS, "voronoi", ALGORITHMS["voronoi"]._replace(segment=segment))
+        hs, gt = pilefield
+        rows = run_sweep(voronoi_config(hs, gt, {"sigma": [float(s) for s in range(1, 8)]})).rows
+        w = _worker_count(len(rows))
+        assert w > 1
+        pids = [row.error for row in rows]
+        parent = f"RuntimeError: {os.getpid()}"
+        assert [i for i, pid in enumerate(pids) if pid == parent] == list(range(0, len(rows), w))
+        assert len(set(pids)) > 1
+
+    @pytest.mark.parametrize("one_core", [False, True], ids=["parallel", "serial"])
+    def test_all_error_grid_exits_1(self, pilefield, tmp_path, monkeypatch, capsys, one_core):
+        if one_core:
+            serial(monkeypatch)
+        hs, gt = pilefield
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "algorithm": "voronoi",
+                    "inputs": {"hillshade": str(hs), "ground_truth": str(gt)},
+                    "grid": {"sigma": [-1, -2, -3]},
+                }
+            )
+        )
+        out = tmp_path / "rows.json"
+        assert main(["sweep", "--config", str(cfg), "--json", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "no sweep row succeeded"}
+        assert [row["error"] for row in json.loads(out.read_text())["rows"]] == [
+            f"ValueError: sigma must be > 0, got {s}" for s in (-1, -2, -3)
+        ]
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cores
+    def test_a_dying_worker_fails_the_sweep(self, pilefield, tmp_path, monkeypatch, capsys):
+        parent, voronoi = os.getpid(), ALGORITHMS["voronoi"]
+
+        def segment(img, p):
+            if os.getpid() != parent:
+                os._exit(3)
+            return voronoi.segment(img, p)
+
+        monkeypatch.setitem(ALGORITHMS, "voronoi", voronoi._replace(segment=segment))
+        hs, gt = pilefield
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "algorithm": "voronoi",
+                    "inputs": {"hillshade": str(hs), "ground_truth": str(gt)},
+                    "grid": {"sigma": [12.0, 6.0, 60.0]},
+                }
+            )
+        )
+        out = tmp_path / "rows.json"
+        assert main(["sweep", "--config", str(cfg), "--json", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "BrokenProcessPool"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestAlgorithmRegistry:
