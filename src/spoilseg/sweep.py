@@ -44,8 +44,8 @@ class Algorithm(NamedTuple):
 
 # The lambdas look their functions up when called, so a wrapper installed on
 # a module attribute (a tracer, a test double) before a sweep starts runs for
-# every row.  Rows that run in forked workers call the workers' copy of it:
-# what it records there stays there, and the parent sees only its own rows.
+# every row, in the forked workers too.  Workers send back only each row's
+# scores or error: what a wrapper records in a worker, the parent never sees.
 # Mean shift and SLIC end in ``merge_small_regions``, already connected 1..K;
 # only the Voronoi cells, split by the foreground mask, need relabelling.
 ALGORITHMS = {
@@ -103,9 +103,15 @@ class SweepConfig:
         if not isinstance(self.base_params, dict):
             raise ValueError("params must be an object")
         known = {f.name for f in fields(algo.params)}
-        for name in list(self.grid) + list(self.base_params):
+        for name, value in [*self.grid.items(), *self.base_params.items()]:
             if name not in known:
                 raise ValueError(f"unknown parameter {name!r} for {self.algorithm}")
+            if name in self.grid and name in self.base_params:
+                raise ValueError(f"parameter {name!r} is in both grid and params")
+            try:
+                json.dumps(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"parameter {name!r} takes JSON values only: {exc}") from None
         _as_fraction(self.threshold)
         for key in ("ground_truth", algo.input_key):
             value = getattr(self, key)
@@ -157,69 +163,63 @@ class SweepReport:
         return None if self.optimum_index is None else self.rows[self.optimum_index]
 
 
-def _run_row(context: tuple, values: dict) -> SweepRow:
-    """Segment and score one grid row; a failing row records its error."""
+def _score(context: tuple, values: dict) -> tuple[HooverScores | None, str | None]:
+    """Segment and score one grid row: its scores, or the error it raised."""
     algo, raster, gt, threshold, base_params = context
-    row = SweepRow(params=values)
     try:
-        seg = algo.segment(raster, algo.params(**{**base_params, **values}))
-        row.scores = evaluate_segmentation(gt, seg, threshold)
+        seg = algo.segment(raster, algo.params(**base_params, **values))
+        return evaluate_segmentation(gt, seg, threshold), None
     except Exception as exc:  # recorded, not fatal: one bad row must not kill the sweep
-        row.error = f"{type(exc).__name__}: {exc}"
-    return row
+        return None, f"{type(exc).__name__}: {exc}"
 
 
-_worker_context: tuple | None = None  # set in each forked worker by _start_worker
+_worker_rows: tuple | None = None  # (context, grid rows), set in each forked worker by _start_worker
 
 
-def _start_worker(context: tuple) -> None:
-    global _worker_context
-    _worker_context = context
+def _start_worker(context: tuple, grid_rows: list[dict]) -> None:
+    global _worker_rows
+    _worker_rows = context, grid_rows
 
 
-def _run_worker_row(values: dict) -> SweepRow:
-    return _run_row(_worker_context, values)
+def _score_worker_row(i: int) -> tuple[HooverScores | None, str | None]:
+    context, grid_rows = _worker_rows
+    return _score(context, grid_rows[i])
 
 
 def _worker_count(rows: int) -> int:
     """Processes for a sweep of ``rows`` rows, the parent included.
 
     One per usable core, at most one per row; 1 where the platform cannot
-    report its usable cores or cannot fork.
+    report its usable cores (macOS, Windows).  Every platform that can
+    report them can fork.
     """
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    w = min(rows, len(os.sched_getaffinity(0)))
-    if w > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return w
+    return min(rows, len(os.sched_getaffinity(0)))
 
 
-def _run_rows(context: tuple, grid_rows: list[dict]) -> list[SweepRow]:
-    """Run every row, in ``w`` processes where more than one core is usable.
+def _run_rows(context: tuple, grid_rows: list[dict]) -> list[tuple[HooverScores | None, str | None]]:
+    """Score every row, in ``w`` processes where more than one core is usable.
 
-    The parent runs rows 0, w, 2w, ... itself while ``w - 1`` forked workers
-    take the others; the rows come back in declared order.  Under fork the
-    workers inherit ``context`` (the input raster and the ground truth)
-    instead of receiving it through a pipe: only the rows' parameters and
-    results are pickled.  The parent's share means a long-lived process pays
-    ``scipy.ndimage``'s lazy import once, not once per worker per sweep.
+    The parent scores rows 0, w, 2w, ... itself while ``w - 1`` forked
+    workers take the others; results come back in declared order.  Workers
+    inherit ``context`` (the input raster and the ground truth) and the rows
+    through the fork: only row indices go to them and only ``(scores,
+    error)`` pairs come back.  The parent's share means a long-lived process
+    pays scipy's lazy imports once, not once per worker per sweep.
     """
     w = _worker_count(len(grid_rows))
     if w == 1:
-        return [_run_row(context, values) for values in grid_rows]
+        return [_score(context, values) for values in grid_rows]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(
-        w - 1, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(context,)
+        w - 1, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(context, grid_rows)
     )
     try:
-        futures = {i: pool.submit(_run_worker_row, values) for i, values in enumerate(grid_rows) if i % w}
-        own = {i: _run_row(context, values) for i, values in enumerate(grid_rows) if i % w == 0}
+        futures = {i: pool.submit(_score_worker_row, i) for i in range(len(grid_rows)) if i % w}
+        own = {i: _score(context, grid_rows[i]) for i in range(0, len(grid_rows), w)}
         return [own[i] if i % w == 0 else futures[i].result() for i in range(len(grid_rows))]
     finally:
         pool.shutdown(cancel_futures=True)  # joins every worker, on success or failure
@@ -238,20 +238,17 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     if not gt.labels.any():
         raise ValueError("ground truth has no regions")
     raster = algo.load(getattr(cfg, algo.input_key))
+    if (raster.height, raster.width) != gt.labels.shape:
+        raise ValueError(f"input shape {(raster.height, raster.width)} differs from ground truth's {gt.labels.shape}")
 
     names = list(cfg.grid)
     grid_rows = [dict(zip(names, values)) for values in product(*(cfg.grid[name] for name in names))]
-    rows = _run_rows((algo, raster, gt, cfg.threshold, cfg.base_params), grid_rows)
+    results = _run_rows((algo, raster, gt, cfg.threshold, cfg.base_params), grid_rows)
+    rows = [SweepRow(values, *result) for values, result in zip(grid_rows, results)]
 
     scored = [i for i, row in enumerate(rows) if row.scores is not None]
     optimum_index = max(scored, key=lambda i: rows[i].scores.correct_detection, default=None)  # first max wins
-    return SweepReport(
-        algorithm=cfg.algorithm,
-        threshold=cfg.threshold,
-        param_names=names,
-        rows=rows,
-        optimum_index=optimum_index,
-    )
+    return SweepReport(cfg.algorithm, cfg.threshold, names, rows, optimum_index)
 
 
 def report_csv(report: SweepReport) -> str:

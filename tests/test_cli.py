@@ -283,6 +283,7 @@ class TestSweepCli:
             ({"algorithm": None}, "missing 'algorithm'"),
             ({"grid": None}, "missing 'grid'"),
             ({"inputs": {"hillshade": "x.pgm"}}, "'ground_truth' input"),
+            ({"params": {"sigma": 6.0}}, "parameter 'sigma' is in both grid and params"),
         ],
         ids=[
             "grid-scalar",
@@ -294,6 +295,7 @@ class TestSweepCli:
             "no-algorithm",
             "no-grid",
             "no-ground-truth",
+            "grid-and-params",
         ],
     )
     def test_malformed_config_rejected_at_load(self, synth_files, tmp_path, capsys, edit, message):

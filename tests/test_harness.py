@@ -92,10 +92,25 @@ class TestRunSweep:
         assert a.scores.correct_detection == b.scores.correct_detection
         assert report.optimum_index == 0
 
-    def test_unknown_parameter_rejected(self, pilefield):
+    # sweep values are JSON values, as the report writes them: a Python caller
+    # passes int(x), not a numpy integer, and never sees a row scored that
+    # report_json cannot write
+    @pytest.mark.parametrize(
+        "grid, params, message",
+        [
+            ({"bandwidth": [1]}, {}, "unknown parameter 'bandwidth' for voronoi"),
+            ({"peak_radius": [np.int64(4), 9]}, {}, "'peak_radius' takes JSON values only: Object of type int64"),
+            ({"sigma": [[12.0, np.float32(6)]]}, {}, "'sigma' takes JSON values only: Object of type float32"),
+            ({"sigma": [12.0]}, {"peak_radius": np.int32(3)}, "parameter 'peak_radius' takes JSON values only"),
+            ({"sigma": [12.0]}, {"invert_foreground": np.True_}, "parameter 'invert_foreground' takes JSON"),
+            ({"sigma": [12.0]}, {"sigma": 6.0}, "parameter 'sigma' is in both grid and params"),
+        ],
+        ids=["unknown", "numpy-int-grid", "nested-numpy", "numpy-int-params", "numpy-bool-params", "grid-and-params"],
+    )
+    def test_parameter_refusals(self, pilefield, grid, params, message):
         hs, gt = pilefield
-        with pytest.raises(ValueError, match="unknown parameter"):
-            voronoi_config(hs, gt, {"bandwidth": [1]})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepConfig(algorithm="voronoi", grid=grid, base_params=params, ground_truth=str(gt), hillshade=str(hs))
 
     def test_config_json_round_trip(self, tmp_path, pilefield):
         hs, gt = pilefield
@@ -214,15 +229,44 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="^ground truth has no regions$"):
             run_sweep(cfg)
 
+    def test_input_and_ground_truth_shapes_must_match(self, pilefield, tmp_path, capsys):
+        # refused before any row runs: a sweep whose rows ran writes its report
+        hs, _ = pilefield
+        gt = tmp_path / "gt.pgm"
+        write_pgm16(LabelMap(np.ones((300, 200), dtype=np.int32)), gt)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "algorithm": "voronoi",
+                    "inputs": {"hillshade": str(hs), "ground_truth": str(gt)},
+                    "grid": {"sigma": [6.0, 12.0]},
+                }
+            )
+        )
+        out = tmp_path / "rows.json"
+        assert main(["sweep", "--config", str(cfg), "--json", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "input shape (300, 300) differs from ground truth's (300, 200)",
+        }
+        assert not out.exists()
+
     def test_missing_input_for_algorithm(self, tmp_path, pilefield):
         _, gt = pilefield
         with pytest.raises(ValueError, match="image"):
             SweepConfig(algorithm="slic", grid={"superpixels": [4]}, ground_truth=str(gt))
 
 
-def serial(monkeypatch):
-    """Force the serial path: the process may use only one core."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+def serial(monkeypatch, affinity=True):
+    """Force the serial path: the process may use only one core, or (without
+    ``affinity``) cannot count its cores, as on macOS and Windows."""
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
 
 
 needs_two_cores = pytest.mark.skipif(
@@ -273,11 +317,27 @@ class TestParallelRows:
         assert multiprocessing.active_children() == []
         assert parallel.rows[1].error is not None
         assert sum(row.scores is not None for row in parallel.rows) >= 2
-        serial(monkeypatch)
-        assert _worker_count(len(parallel.rows)) == 1
-        alone = run_sweep(cfg)
-        assert report_csv(parallel) == report_csv(alone)
-        assert report_json(parallel) == report_json(alone)
+        for affinity in (True, False):
+            with monkeypatch.context() as m:
+                serial(m, affinity)
+                assert _worker_count(len(parallel.rows)) == 1
+                alone = run_sweep(cfg)
+            assert report_csv(parallel) == report_csv(alone)
+            assert report_json(parallel) == report_json(alone)
+
+    def test_grid_values_are_never_pickled(self, pilefield):
+        # workers inherit the rows through the fork and receive only indices
+        class Sigma(float):
+            def __reduce__(self):
+                raise TypeError("not picklable")
+
+        hs, gt = pilefield
+        report = run_sweep(voronoi_config(hs, gt, {"sigma": [Sigma(6.0), Sigma(12.0), Sigma(60.0)]}))
+        assert multiprocessing.active_children() == []
+        assert [row.error for row in report.rows] == [None, None, None]
+        assert [row["params"] for row in json.loads(report_json(report))["rows"]] == [
+            {"sigma": s} for s in (6.0, 12.0, 60.0)
+        ]
 
     @needs_two_cores
     def test_parent_takes_every_wth_row(self, pilefield, monkeypatch):
