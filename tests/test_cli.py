@@ -31,13 +31,14 @@ from spoilseg import (
     run_sweep,
     sigmoidal_stretch,
     synth_pilefield,
+    voronoi_pipeline,
     write_asc_grid,
     write_gray_pgm16,
     write_pgm16,
     write_ppm,
 )
 from spoilseg.cli import _params, build_parser, main
-from spoilseg.sweep import report_csv, report_json
+from spoilseg.sweep import load_sweep_config, report_csv, report_json
 
 
 @pytest.fixture()
@@ -125,6 +126,15 @@ class TestSegmentCommands:
         out = tmp_path / "seg.pgm"
         assert main(["segment", "voronoi", "--in", str(stretched), "--no-restrict", "--out", str(out)]) == 0
         assert (read_pgm16(out).labels > 0).all()
+
+    def test_voronoi_invert_labels_the_background(self, tmp_path):
+        img = GrayImage(np.random.default_rng(5).integers(0, 256, (40, 50)).astype(np.uint8))
+        src, out = tmp_path / "img.pgm", tmp_path / "seg.pgm"
+        write_gray_pgm16(img, src)
+        assert main(["segment", "voronoi", "--in", str(src), "--sigma", "2", "--invert", "--out", str(out)]) == 0
+        inverted = voronoi_pipeline(img, VoronoiParams(sigma=2.0, invert_foreground=True))
+        assert inverted.region_count() > 0
+        assert np.array_equal(read_pgm16(out).labels, relabel_connected(inverted).labels)
 
     def test_meanshift_segmentation(self, tmp_path):
         px = np.zeros((8, 12, 3), dtype=np.uint8)
@@ -284,6 +294,11 @@ class TestSweepCli:
             ({"grid": None}, "missing 'grid'"),
             ({"inputs": {"hillshade": "x.pgm"}}, "'ground_truth' input"),
             ({"params": {"sigma": 6.0}}, "parameter 'sigma' is in both grid and params"),
+            ({"algorithm": "kmeans"}, "unknown algorithm 'kmeans'"),
+            ({"grid": {}}, "parameter grid must be a non-empty object"),
+            ({"grid": [12.0]}, "parameter grid must be a non-empty object"),
+            ({"params": [["sigma", 6.0]]}, "params must be an object"),
+            ({"inputs": ["gt.pgm"]}, "inputs must be an object"),
         ],
         ids=[
             "grid-scalar",
@@ -296,6 +311,11 @@ class TestSweepCli:
             "no-grid",
             "no-ground-truth",
             "grid-and-params",
+            "unknown-algorithm",
+            "grid-empty",
+            "grid-list",
+            "params-list",
+            "inputs-list",
         ],
     )
     def test_malformed_config_rejected_at_load(self, synth_files, tmp_path, capsys, edit, message):
@@ -348,6 +368,14 @@ class TestSweepCli:
         payload = json.loads(out.read_text())
         assert payload["optimum"] is None
         assert all(row["error"] for row in payload["rows"])
+
+    def test_report_to_stdout_without_csv_or_json(self, synth_files, tmp_path, capsys):
+        _, gt, stretched = synth_files
+        cfg = tmp_path / "sweep.json"
+        inputs = {"hillshade": str(stretched), "ground_truth": str(gt)}
+        cfg.write_text(json.dumps({"algorithm": "voronoi", "inputs": inputs, "grid": {"sigma": [4.0, 12.0]}}))
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == report_json(run_sweep(load_sweep_config(cfg)))
 
     def test_missing_config_fails(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "nope.json")])
@@ -420,11 +448,11 @@ class TestModuleEntryPoint:
 
 
 class TestNdimageOnlyWhereUsed:
-    """Only a blur, a plateau search or a nodata dilation imports scipy.ndimage.
+    """Only a blur or a plateau search imports scipy.ndimage.
 
     Each command runs in a fresh process, which reports whether ndimage got
-    loaded; the two commands that must load it keep the check from passing
-    vacuously.
+    loaded; ``segment voronoi``, which must load it, keeps the check from
+    passing vacuously.  ``hillshade`` finds the cells next to nodata itself.
     """
 
     @pytest.fixture(scope="class")
@@ -449,7 +477,7 @@ class TestNdimageOnlyWhereUsed:
             ("segment meanshift --in {i}/rgb.ppm --hs 2 --hr 8 --out {o}/m.pgm", False),
             ("evaluate --gt {i}/gt.pgm --pred {i}/gt.pgm --out {o}/e.json", False),
             ("ingest --in {i}/gt.pgm --out {o}/n.pgm --min-region 2 --report {o}/r.json", False),
-            ("hillshade --dsm {i}/holes.asc --out {o}/h.pgm", True),
+            ("hillshade --dsm {i}/holes.asc --out {o}/h.pgm", False),
             ("segment voronoi --in {i}/st.pgm --sigma 2 --out {o}/v.pgm", True),
         ],
         ids=["synth", "hillshade", "slic", "meanshift", "evaluate", "ingest", "hillshade-nodata", "voronoi"],
@@ -552,6 +580,14 @@ class TestIngestCli:
             b'    "points_per_side": "200"\n  },\n  "regions": 0,\n  "regions_before_filter": 1,\n'
             b'  "source": "sam"\n}\n'
         )
+
+    def test_text_the_locale_cannot_encode_is_kept(self, tmp_path):
+        # a lone surrogate never comes from process argv, only from a caller of main()
+        src, report = tmp_path / "mask.pgm", tmp_path / "meta.json"
+        write_pgm16(LabelMap(np.ones((4, 4), dtype=np.int32)), src)
+        argv = ["ingest", "--in", str(src), "--out", str(tmp_path / "o.pgm"), "--source", "\ud800x", "--report", str(report)]
+        assert main(argv) == 0
+        assert json.loads(report.read_text(encoding="utf-8"))["source"] == "\ud800x"
 
     def test_bad_param_syntax(self, tmp_path, capsys):
         lab = np.ones((4, 4), dtype=np.int32)

@@ -615,6 +615,7 @@ class TestSynthPilefield:
             ({"bump_sigma": -1.0}, "bump_sigma must be > 0, got -1.0"),
             ({"bump_sigma": 20.0}, "bump support falls outside the canvas"),
             ({"bump_sigma": 0.1, "n_bumps": 4}, "bump_sigma 0.1 is too small: mound 1 covers no cell"),
+            ({"n_bumps": 2}, "bump supports overlap"),
         ],
     )
     def test_argument_contract(self, change, message):

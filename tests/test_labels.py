@@ -116,11 +116,11 @@ def test_link_components_match_the_doubled_grid(seed, h, w):
 )
 @pytest.mark.parametrize("package", ["spoilseg", "spoilseg.cli"])
 def test_importing_the_package_does_not_load_scipy(package, module):
-    # the components kernel imports scipy.sparse.csgraph, and the blur, the
-    # plateau search and the nodata dilation import scipy.ndimage, on first
-    # use; no other module needs scipy, and at package import each would
-    # cost every command about 0.3 s.  The sweep imports the process pool
-    # (about 20 ms) only when it runs rows in more than one process.
+    # the components kernel imports scipy.sparse.csgraph, and the blur and
+    # the plateau search import scipy.ndimage, on first use; no other module
+    # needs scipy, and at package import each would cost every command about
+    # 0.3 s.  The sweep imports the process pool (about 20 ms) only when it
+    # runs rows in more than one process.
     env = dict(os.environ)
     src = str(Path(spoilseg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -25,7 +25,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.ndimage  # noqa: F401  the blur, seeds and nodata dilation import it on first use; not a stage's peak
+import scipy.ndimage  # noqa: F401  the blur and seeds import it on first use; not a stage's peak
 import scipy.sparse.csgraph  # noqa: F401  the components kernel imports it on first use; not a stage's peak
 
 from spoilseg import (

@@ -81,6 +81,22 @@ class TestHillshade:
         assert mask[1:4, 1:4].all()
         assert not mask[0, 0]
 
+    @pytest.mark.parametrize("sentinel", [-np.finfo(np.float64).max, np.finfo(np.float64).max])
+    def test_sentinel_value_leaves_data_cells_unchanged(self, sentinel):
+        # no stage does arithmetic on the sentinel, so one at float64's
+        # extremes overflows nothing (a RuntimeWarning fails the test)
+        rng = np.random.default_rng(8)
+        values = rng.normal(scale=20.0, size=(40, 30))
+        holes = rng.random(values.shape) < 0.05
+        holes[0, 5] = holes[17, 0] = holes[39, 29] = True  # on the edges the pad repeats
+        ref = hillshade(ScalarGrid(np.where(holes, -9999.0, values), nodata=-9999.0))
+        out = hillshade(ScalarGrid(np.where(holes, sentinel, values), nodata=sentinel))
+        assert out.nodata == sentinel
+        assert np.array_equal(out.nodata_mask, ref.nodata_mask)
+        data = ~ref.nodata_mask
+        assert np.array_equal(out.values[data].view(np.int64), ref.values[data].view(np.int64))
+        assert np.array_equal(quantize8(out).values, quantize8(ref).values)
+
     def test_too_small_grid(self):
         with pytest.raises(ValueError, match="3x3"):
             hillshade(ScalarGrid(np.zeros((2, 5))))

@@ -291,6 +291,20 @@ class TestVoronoiLabel:
             voronoi_label(seeds, 12, 10, mask)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SeedSet(np.array([1, 2]), np.array([1]), np.array([0, 0])), "seed arrays must be 1-D and equally long"),
+        (lambda: detect_local_maxima(ScalarGrid(np.zeros((4, 4))), 0), "peak_radius must be >= 1"),
+        (lambda: voronoi_label(SeedSet([0, 4], [0, 0], [1, 1]), 4, 3), "seed coordinates out of bounds"),
+    ],
+    ids=["unequal-seed-arrays", "peak-radius-0", "seed-outside"],
+)
+def test_malformed_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @st.composite
 def seed_layouts(draw, max_side):
     """(xs, ys, width, height, mask) with tie-heavy seeds and ragged tiles.
@@ -426,6 +440,22 @@ class TestVoronoiPipeline:
         _, mask = otsu_threshold(q)
         survivors = filter_background_seeds(seeds, mask)
         assert seg.region_count() == len(survivors)
+
+    def test_inverted_run_composes_the_stages_with_the_inverted_mask(self):
+        img = GrayImage(np.random.default_rng(5).integers(0, 256, (40, 50)).astype(np.uint8))
+        seg = voronoi_pipeline(img, VoronoiParams(sigma=2.0, invert_foreground=True))
+        blurred = gaussian_blur(img, 2.0)
+        seeds = detect_local_maxima(blurred, 2)
+        _, mask = otsu_threshold(GrayImage(np.floor(np.clip(blurred.values, 0.0, 255.0) + 0.5).astype(np.uint8)))
+        expected = voronoi_label(filter_background_seeds(seeds, ~mask), 50, 40, ~mask)
+        assert seg.region_count() > 0
+        assert np.array_equal(seg.labels, expected.labels)
+
+    def test_inverted_ramp_whose_one_seed_is_background_yields_empty_map(self):
+        ramp = GrayImage(np.tile(np.arange(40, dtype=np.uint8) * 6, (20, 1)))
+        assert len(detect_local_maxima(gaussian_blur(ramp, 1.0), 1)) == 1  # on the bright edge
+        seg = voronoi_pipeline(ramp, VoronoiParams(sigma=1.0, invert_foreground=True))
+        assert (seg.labels == 0).all()
 
     def test_unrestricted_covers_full_frame(self):
         centers = [(20, 20), (60, 60)]
