@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import fork_map, worker_count
 from .grids import LabelMap, RasterRGB, _check_params, _param
 from .labels import _pixel_components, merge_small_regions
 
@@ -35,6 +36,14 @@ class MeanShiftParams:
 # 5).  Twice as many ran slower on the 64x64 benchmark crops.
 _BATCH_CELLS = 1 << 13
 
+# Stencil cells x pixels from which the filter runs in interleaved pixel
+# shards, one per usable core.  A fork pool's round trip cost 10-15 ms on a
+# 2-core host, whatever the process size.  Noise whose every pixel stops
+# after one step is the cheapest content per cell; at spatial_radius 5 it
+# broke even near 57x57, this floor.  Content that takes more steps breaks
+# even on much smaller images: the benchmark's ortho crops near 20x20.
+_SHARD_CELLS = 5 << 16
+
 
 def _joint_points(img: RasterRGB) -> np.ndarray:
     h, w = img.height, img.width
@@ -49,7 +58,10 @@ def mean_shift_filter(img: RasterRGB, p: MeanShiftParams | None = None) -> np.nd
     Every pixel still moving takes one step per iteration, in batches of at
     most ``_BATCH_CELLS`` candidate cells.  A pixel stops once its
     normalised displacement falls below ``convergence_eps``, when its kernel
-    holds no pixel, or after ``max_iterations`` steps.
+    holds no pixel, or after ``max_iterations`` steps.  A pixel's path reads
+    only the original image and every sum in a step is a sum of integers, so
+    the pixels split into interleaved shards (pixels k, k + n, ...), each
+    run in its own forked process (``_SHARD_CELLS``), give the same bits.
     """
     p = p if p is not None else MeanShiftParams()
     h, w = img.height, img.width
@@ -97,16 +109,26 @@ def mean_shift_filter(img: RasterRGB, p: MeanShiftParams | None = None) -> np.nd
 
     modes = _joint_points(img)
     batch = max(1, _BATCH_CELLS // offsets.size)
-    active = np.arange(h * w)
-    for _ in range(p.max_iterations):
-        if active.size == 0:
-            break
-        moving = []
-        for start in range(0, active.size, batch):
-            idx = active[start : start + batch]
-            modes[idx], disp = shift(modes[idx])
-            moving.append(idx[~(disp < p.convergence_eps)])
-        active = np.concatenate(moving)
+    n = worker_count(h * w) if offsets.size * h * w >= _SHARD_CELLS else 1
+
+    def shard(k: int) -> np.ndarray:
+        """Modes of pixels k, k + n, k + 2n, ...: the filter on those pixels alone."""
+        out = modes[k::n]  # a view: shard 0 converges in place in the parent
+        active = np.arange(len(out))
+        for _ in range(p.max_iterations):
+            if active.size == 0:
+                break
+            moving = []
+            for start in range(0, active.size, batch):
+                idx = active[start : start + batch]
+                out[idx], disp = shift(out[idx])
+                moving.append(idx[~(disp < p.convergence_eps)])
+            active = np.concatenate(moving)
+        return out
+
+    for k, block in enumerate(fork_map(shard, n)):
+        if k:
+            modes[k::n] = block
     return modes.reshape(h, w, 5)
 
 

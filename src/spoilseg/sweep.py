@@ -19,6 +19,7 @@ from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from ._fork import fork_map
 from .colorspace import rgb_to_lab
 from .grids import LabelMap, _check_field
 from .hoover import HooverScores, _as_fraction, evaluate_segmentation
@@ -45,7 +46,10 @@ class Algorithm(NamedTuple):
 # The lambdas look their functions up when called, so a wrapper installed on
 # a module attribute (a tracer, a test double) before a sweep starts runs for
 # every row, in the forked workers too.  Workers send back only each row's
-# scores or error: what a wrapper records in a worker, the parent never sees.
+# scores or error, or a mean shift shard's modes: what a wrapper records in a
+# worker, the parent never sees.  Forks never nest: a sweep of two or more
+# rows parallelises over rows, and each row's mean shift filter runs
+# serially; a one-row sweep shards the filter's pixels instead.
 # Mean shift and SLIC end in ``merge_small_regions``, already connected 1..K;
 # only the Voronoi cells, split by the foreground mask, need relabelling.
 ALGORITHMS = {
@@ -163,75 +167,16 @@ class SweepReport:
         return None if self.optimum_index is None else self.rows[self.optimum_index]
 
 
-def _score(context: tuple, values: dict) -> tuple[HooverScores | None, str | None]:
-    """Segment and score one grid row: its scores, or the error it raised."""
-    algo, raster, gt, threshold, base_params = context
-    try:
-        seg = algo.segment(raster, algo.params(**base_params, **values))
-        return evaluate_segmentation(gt, seg, threshold), None
-    except Exception as exc:  # recorded, not fatal: one bad row must not kill the sweep
-        return None, f"{type(exc).__name__}: {exc}"
-
-
-_worker_rows: tuple | None = None  # (context, grid rows), set in each forked worker by _start_worker
-
-
-def _start_worker(context: tuple, grid_rows: list[dict]) -> None:
-    global _worker_rows
-    _worker_rows = context, grid_rows
-
-
-def _score_worker_row(i: int) -> tuple[HooverScores | None, str | None]:
-    context, grid_rows = _worker_rows
-    return _score(context, grid_rows[i])
-
-
-def _worker_count(rows: int) -> int:
-    """Processes for a sweep of ``rows`` rows, the parent included.
-
-    One per usable core, at most one per row; 1 where the platform cannot
-    report its usable cores (macOS, Windows).  Every platform that can
-    report them can fork.
-    """
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(rows, len(os.sched_getaffinity(0)))
-
-
-def _run_rows(context: tuple, grid_rows: list[dict]) -> list[tuple[HooverScores | None, str | None]]:
-    """Score every row, in ``w`` processes where more than one core is usable.
-
-    The parent scores rows 0, w, 2w, ... itself while ``w - 1`` forked
-    workers take the others; results come back in declared order.  Workers
-    inherit ``context`` (the input raster and the ground truth) and the rows
-    through the fork: only row indices go to them and only ``(scores,
-    error)`` pairs come back.  The parent's share means a long-lived process
-    pays scipy's lazy imports once, not once per worker per sweep.
-    """
-    w = _worker_count(len(grid_rows))
-    if w == 1:
-        return [_score(context, values) for values in grid_rows]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        w - 1, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(context, grid_rows)
-    )
-    try:
-        futures = {i: pool.submit(_score_worker_row, i) for i in range(len(grid_rows)) if i % w}
-        own = {i: _score(context, grid_rows[i]) for i in range(0, len(grid_rows), w)}
-        return [own[i] if i % w == 0 else futures[i].result() for i in range(len(grid_rows))]
-    finally:
-        pool.shutdown(cancel_futures=True)  # joins every worker, on success or failure
-
-
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Execute every combination of the grid in declared order.
 
     A failing combination is recorded with its error and excluded from the
     optimum, which maximises correct detection with earlier rows winning
-    ties.  Rows run in parallel processes where several cores are usable
-    (:func:`_run_rows`); the report is the same either way.
+    ties.  Rows run in forked processes where several cores are usable
+    (:func:`~spoilseg._fork.fork_map`), the input raster and the ground truth
+    inherited through the fork; the report is the same either way.  The
+    calling process runs its share of the rows, so a long-lived process pays
+    scipy's lazy imports once, not once per worker per sweep.
     """
     algo = ALGORITHMS[cfg.algorithm]
     gt = relabel_connected(read_pgm16(cfg.ground_truth))
@@ -243,8 +188,16 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 
     names = list(cfg.grid)
     grid_rows = [dict(zip(names, values)) for values in product(*(cfg.grid[name] for name in names))]
-    results = _run_rows((algo, raster, gt, cfg.threshold, cfg.base_params), grid_rows)
-    rows = [SweepRow(values, *result) for values, result in zip(grid_rows, results)]
+
+    def score(i: int) -> tuple[HooverScores | None, str | None]:
+        """Segment and score grid row i: its scores, or the error it raised."""
+        try:
+            seg = algo.segment(raster, algo.params(**cfg.base_params, **grid_rows[i]))
+            return evaluate_segmentation(gt, seg, cfg.threshold), None
+        except Exception as exc:  # recorded, not fatal: one bad row must not kill the sweep
+            return None, f"{type(exc).__name__}: {exc}"
+
+    rows = [SweepRow(values, *result) for values, result in zip(grid_rows, fork_map(score, len(grid_rows)))]
 
     scored = [i for i, row in enumerate(rows) if row.scores is not None]
     optimum_index = max(scored, key=lambda i: rows[i].scores.correct_detection, default=None)  # first max wins

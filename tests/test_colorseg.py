@@ -1,5 +1,6 @@
 """CIELAB conversion and mean shift segmentation."""
 
+import os
 from unittest import mock
 
 import numpy as np
@@ -192,6 +193,38 @@ class TestMeanShiftFilterOracle:
         with mock.patch.object(meanshift, "_BATCH_CELLS", batch_cells):
             modes = mean_shift_filter(img, p)
         assert np.array_equal(modes, mean_shift_modes(img, p))
+
+
+def filter_in_shards(img: RasterRGB, p: MeanShiftParams) -> np.ndarray:
+    """The filter with three usable cores and no floor: every image of two or
+    more pixels runs in interleaved shards, two of them in forked workers."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}):
+        with mock.patch.object(meanshift, "_SHARD_CELLS", 1):
+            return mean_shift_filter(img, p)
+
+
+class TestMeanShiftShards:
+    """Pixel shards run in forked processes give the one-process bits."""
+
+    @given(
+        img=ms_images(),
+        hs=st.sampled_from([1, 2.5, 5, float("inf")]),
+        hr=st.sampled_from([8, 30, float("inf")]),
+        iterations=st.sampled_from([1, 50]),
+    )
+    @settings(max_examples=12, deadline=None)  # each example forks
+    def test_bit_identical_to_per_pixel_loop(self, img, hs, hr, iterations):
+        p = MeanShiftParams(hs, hr, 1, max_iterations=iterations)
+        assert np.array_equal(filter_in_shards(img, p), mean_shift_modes(img, p))
+
+    def test_48px_image_matches_one_core(self):
+        rng = np.random.default_rng(48)
+        blocks = rng.integers(0, 256, size=(6, 6, 3)).repeat(8, axis=0).repeat(8, axis=1)
+        img = RasterRGB(np.clip(blocks + rng.integers(-6, 7, size=(48, 48, 3)), 0, 255).astype(np.uint8))
+        p = MeanShiftParams(5, 12, 1)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
+            one_core = mean_shift_filter(img, p)
+        assert np.array_equal(filter_in_shards(img, p), one_core)
 
 
 class TestMeanShiftSegment:

@@ -31,8 +31,10 @@ from spoilseg import (
     write_pgm16,
     write_ppm,
 )
+from spoilseg import _fork, meanshift
+from spoilseg._fork import worker_count
 from spoilseg.cli import main
-from spoilseg.sweep import ALGORITHMS, _worker_count, report_csv, report_json
+from spoilseg.sweep import ALGORITHMS, report_csv, report_json
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +322,7 @@ class TestParallelRows:
         for affinity in (True, False):
             with monkeypatch.context() as m:
                 serial(m, affinity)
-                assert _worker_count(len(parallel.rows)) == 1
+                assert worker_count(len(parallel.rows)) == 1
                 alone = run_sweep(cfg)
             assert report_csv(parallel) == report_csv(alone)
             assert report_json(parallel) == report_json(alone)
@@ -347,7 +349,7 @@ class TestParallelRows:
         monkeypatch.setitem(ALGORITHMS, "voronoi", ALGORITHMS["voronoi"]._replace(segment=segment))
         hs, gt = pilefield
         rows = run_sweep(voronoi_config(hs, gt, {"sigma": [float(s) for s in range(1, 8)]})).rows
-        w = _worker_count(len(rows))
+        w = worker_count(len(rows))
         assert w > 1
         pids = [row.error for row in rows]
         parent = f"RuntimeError: {os.getpid()}"
@@ -407,6 +409,87 @@ class TestParallelRows:
         assert json.loads(err)["error"] == "BrokenProcessPool"
         assert not out.exists()
         assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def pools(tmp_path, monkeypatch):
+    """Count the process pools built, in this process or a forked one: each
+    construction appends a line to a file."""
+    import concurrent.futures
+
+    log = tmp_path / "pools.log"
+    log.touch()
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return lambda: len(log.read_text().splitlines())
+
+
+class TestForkMap:
+    """One fork map serves sweep rows and mean shift pixel shards; maps never nest."""
+
+    @staticmethod
+    def meanshift_sweep(root, range_radii):
+        return SweepConfig(
+            algorithm="meanshift",
+            grid={"spatial_radius": [2.0], "range_radius": range_radii},
+            ground_truth=str(root / "gt.pgm"),
+            image=str(root / "tones.ppm"),
+            base_params={"min_region_size": 8},
+        )
+
+    @pytest.fixture(autouse=True)
+    def two_cores_no_floor(self, monkeypatch):
+        # every mean shift filter call is above the floor, so only the
+        # no-nesting rule keeps a sweep row in a worker from forking again
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(meanshift, "_SHARD_CELLS", 1)
+
+    def test_a_sweep_of_rows_builds_one_pool(self, color_inputs, pools):
+        report = run_sweep(self.meanshift_sweep(color_inputs, [30.0, 10.0, 20.0]))
+        assert [row.error for row in report.rows] == [None, None, None]
+        assert pools() == 1
+        assert not _fork._in_map
+
+    def test_a_one_row_sweep_shards_its_filter(self, color_inputs, pools):
+        report = run_sweep(self.meanshift_sweep(color_inputs, [30.0]))
+        assert report.rows[0].error is None
+        assert pools() == 1
+
+    def test_one_core_builds_no_pool(self, color_inputs, tmp_path, monkeypatch, pools):
+        serial(monkeypatch)
+        out = tmp_path / "seg.pgm"
+        argv = ["segment", "meanshift", "--in", str(color_inputs / "tones.ppm"), "--hs", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.exists()
+        assert pools() == 0
+
+    def test_a_dying_shard_fails_the_command(self, color_inputs, tmp_path, monkeypatch, capsys):
+        parent, fork_map = os.getpid(), meanshift.fork_map
+
+        def dying_map(fn, n):
+            def shard(k):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return fn(k)
+
+            return fork_map(shard, n)
+
+        monkeypatch.setattr(meanshift, "fork_map", dying_map)
+        out = tmp_path / "seg.pgm"
+        argv = ["segment", "meanshift", "--in", str(color_inputs / "tones.ppm"), "--hs", "2", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "BrokenProcessPool"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+        assert not _fork._in_map
 
 
 class TestAlgorithmRegistry:

@@ -119,8 +119,8 @@ def test_importing_the_package_does_not_load_scipy(package, module):
     # the components kernel imports scipy.sparse.csgraph, and the blur and
     # the plateau search import scipy.ndimage, on first use; no other module
     # needs scipy, and at package import each would cost every command about
-    # 0.3 s.  The sweep imports the process pool (about 20 ms) only when it
-    # runs rows in more than one process.
+    # 0.3 s.  The fork map of sweep rows and mean shift shards imports the
+    # process pool (about 20 ms) only when it forks.
     env = dict(os.environ)
     src = str(Path(spoilseg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
