@@ -36,12 +36,13 @@ class MeanShiftParams:
 # 5).  Twice as many ran slower on the 64x64 benchmark crops.
 _BATCH_CELLS = 1 << 13
 
-# Stencil cells x pixels from which the filter runs in interleaved pixel
-# shards, one per usable core.  A fork pool's round trip cost 10-15 ms on a
-# 2-core host, whatever the process size.  Noise whose every pixel stops
-# after one step is the cheapest content per cell; at spatial_radius 5 it
-# broke even near 57x57, this floor.  Content that takes more steps breaks
-# even on much smaller images: the benchmark's ortho crops near 20x20.
+# Stencil cells x pixels still moving after their first step, from which
+# the filter runs in interleaved pixel shards, one per usable core.  Counting
+# every pixel forked on one-step noise, and lost (medians of 9 calls on a
+# 2-core host, one core -> two: hs 1 at 256x256 37 -> 45 ms, hs 5 at 57x57
+# 10 -> 22 ms).  The 64x64 benchmark crops keep about 4,050 of 4,096 pixels
+# moving at hs 5, 25 % above.  Stepping every pixel before forking, to count
+# exactly, slowed the benchmark's mean shift jobs; one batch estimates them.
 _SHARD_CELLS = 5 << 16
 
 
@@ -109,7 +110,10 @@ def mean_shift_filter(img: RasterRGB, p: MeanShiftParams | None = None) -> np.nd
 
     modes = _joint_points(img)
     batch = max(1, _BATCH_CELLS // offsets.size)
-    n = worker_count(h * w) if offsets.size * h * w >= _SHARD_CELLS else 1
+    # one batch of pixels spread over the image: how many one step leaves moving
+    _, disp = shift(modes[:: -(-h * w // batch)])
+    work = offsets.size * h * w * np.mean(~(disp < p.convergence_eps))
+    n = worker_count(h * w) if p.max_iterations > 1 and work >= _SHARD_CELLS else 1
 
     def shard(k: int) -> np.ndarray:
         """Modes of pixels k, k + n, k + 2n, ...: the filter on those pixels alone."""

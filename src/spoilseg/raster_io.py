@@ -94,10 +94,10 @@ def read_pgm16(path: str | os.PathLike) -> LabelMap:
 def write_pgm16(label_map: LabelMap, path: str | os.PathLike) -> None:
     """Write a label map as binary PGM (P5, maxval 65535, big-endian).
 
-    Labels above 65535 do not fit the sample width; relabel first.
+    Labels above 65535 do not fit the sample width; ``FormatError`` names the top one.
     """
-    if label_map.labels.max(initial=0) > 65535:
-        raise FormatError("label exceeds 16-bit range; relabel before writing")
+    if (top := label_map.labels.max(initial=0)) > 65535:
+        raise FormatError(f"label {top} does not fit a 16-bit PGM, which holds labels up to 65535")
     _write_netpbm(path, "P5", 65535, label_map.labels.astype(">u2"))
 
 

@@ -45,11 +45,11 @@ class Algorithm(NamedTuple):
 
 # The lambdas look their functions up when called, so a wrapper installed on
 # a module attribute (a tracer, a test double) before a sweep starts runs for
-# every row, in the forked workers too.  Workers send back only each row's
-# scores or error, or a mean shift shard's modes: what a wrapper records in a
-# worker, the parent never sees.  Forks never nest: a sweep of two or more
+# every row, in the forked workers too.  Workers send back only their rows'
+# scores or errors, or a mean shift shard's modes: what a wrapper records in
+# a worker, the parent never sees.  Forks never nest: a sweep of two or more
 # rows parallelises over rows, and each row's mean shift filter runs
-# serially; a one-row sweep shards the filter's pixels instead.
+# serially; a one-row sweep may shard the filter's moving pixels instead.
 # Mean shift and SLIC end in ``merge_small_regions``, already connected 1..K;
 # only the Voronoi cells, split by the foreground mask, need relabelling.
 ALGORITHMS = {
@@ -174,9 +174,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     optimum, which maximises correct detection with earlier rows winning
     ties.  Rows run in forked processes where several cores are usable
     (:func:`~spoilseg._fork.fork_map`), the input raster and the ground truth
-    inherited through the fork; the report is the same either way.  The
-    calling process runs its share of the rows, so a long-lived process pays
-    scipy's lazy imports once, not once per worker per sweep.
+    inherited through the fork; the report is the same either way.  Process
+    k of w runs rows k, k + w, ...; the caller is process 0, so a long-lived
+    process pays scipy's lazy imports once, not once per worker per sweep.
     """
     algo = ALGORITHMS[cfg.algorithm]
     gt = relabel_connected(read_pgm16(cfg.ground_truth))

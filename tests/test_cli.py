@@ -589,6 +589,20 @@ class TestIngestCli:
         assert main(argv) == 0
         assert json.loads(report.read_text(encoding="utf-8"))["source"] == "\ud800x"
 
+    def test_more_regions_than_a_pgm16_can_number(self, tmp_path, capsys):
+        # a checkerboard of labels 1 and 2: every pixel is a region, 131072 of them
+        src, out = tmp_path / "mask.pgm", tmp_path / "o.pgm"
+        ys, xs = np.mgrid[0:256, 0:512]
+        write_pgm16(LabelMap(((ys + xs) % 2 + 1).astype(np.int32)), src)
+        assert main(["ingest", "--in", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "FormatError",
+            "message": "label 131072 does not fit a 16-bit PGM, which holds labels up to 65535",
+        }
+        assert not out.exists()
+
     def test_bad_param_syntax(self, tmp_path, capsys):
         lab = np.ones((4, 4), dtype=np.int32)
         src = tmp_path / "mask.pgm"

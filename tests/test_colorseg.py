@@ -196,8 +196,9 @@ class TestMeanShiftFilterOracle:
 
 
 def filter_in_shards(img: RasterRGB, p: MeanShiftParams) -> np.ndarray:
-    """The filter with three usable cores and no floor: every image of two or
-    more pixels runs in interleaved shards, two of them in forked workers."""
+    """The filter with three usable cores and no floor: an image whose first
+    step leaves a pixel moving, with steps left, runs in interleaved shards,
+    two of them in forked workers."""
     with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}):
         with mock.patch.object(meanshift, "_SHARD_CELLS", 1):
             return mean_shift_filter(img, p)

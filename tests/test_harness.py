@@ -1,6 +1,7 @@
 """Sweep runner, report emission, mask ingestion and the synthetic fixture."""
 
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -341,20 +342,22 @@ class TestParallelRows:
             {"sigma": s} for s in (6.0, 12.0, 60.0)
         ]
 
-    @needs_two_cores
-    def test_parent_takes_every_wth_row(self, pilefield, monkeypatch):
+    def test_each_process_takes_every_wth_row(self, pilefield, monkeypatch):
         def segment(img, p):  # each row's error names the process that ran it
             raise RuntimeError(os.getpid())
 
+        # two processes: with more, a worker done with its share before
+        # another worker starts may take that worker's share too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setitem(ALGORITHMS, "voronoi", ALGORITHMS["voronoi"]._replace(segment=segment))
         hs, gt = pilefield
         rows = run_sweep(voronoi_config(hs, gt, {"sigma": [float(s) for s in range(1, 8)]})).rows
         w = worker_count(len(rows))
-        assert w > 1
+        assert w == 2 and 2 * w <= len(rows)
         pids = [row.error for row in rows]
-        parent = f"RuntimeError: {os.getpid()}"
-        assert [i for i, pid in enumerate(pids) if pid == parent] == list(range(0, len(rows), w))
-        assert len(set(pids)) > 1
+        for i, j in itertools.product(range(len(rows)), repeat=2):
+            assert (pids[i] == pids[j]) == (i % w == j % w), (i, j, pids)
+        assert pids[0] == f"RuntimeError: {os.getpid()}"
 
     @pytest.mark.parametrize("one_core", [False, True], ids=["parallel", "serial"])
     def test_all_error_grid_exits_1(self, pilefield, tmp_path, monkeypatch, capsys, one_core):
@@ -454,7 +457,7 @@ class TestForkMap:
         report = run_sweep(self.meanshift_sweep(color_inputs, [30.0, 10.0, 20.0]))
         assert [row.error for row in report.rows] == [None, None, None]
         assert pools() == 1
-        assert not _fork._in_map
+        assert _fork._fn is None
 
     def test_a_one_row_sweep_shards_its_filter(self, color_inputs, pools):
         report = run_sweep(self.meanshift_sweep(color_inputs, [30.0]))
@@ -489,7 +492,34 @@ class TestForkMap:
         assert json.loads(err)["error"] == "BrokenProcessPool"
         assert not out.exists()
         assert multiprocessing.active_children() == []
-        assert not _fork._in_map
+        assert _fork._fn is None
+
+
+class TestShardGate:
+    """With the real floor, the filter shards only when the pixels still
+    moving after their first step, times the stencil, cover a fork."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_one_step_noise_builds_no_pool(self, pools):
+        # 4096 pixels x 101 stencil cells is above the floor, but at range
+        # radius 1 a noise pixel's kernel holds only itself: it stops at once
+        img = RasterRGB(np.random.default_rng(7).integers(0, 256, (64, 64, 3), dtype=np.uint8))
+        assert 101 * 64 * 64 >= meanshift._SHARD_CELLS
+        meanshift.mean_shift_filter(img, meanshift.MeanShiftParams(5, 1, 1))
+        assert pools() == 0
+
+    def test_pixels_that_keep_moving_build_one(self, pools, monkeypatch):
+        rng = np.random.default_rng(64)
+        blocks = rng.integers(0, 256, size=(8, 8, 3)).repeat(8, axis=0).repeat(8, axis=1)
+        img = RasterRGB(np.clip(blocks + rng.integers(-6, 7, size=(64, 64, 3)), 0, 255).astype(np.uint8))
+        p = meanshift.MeanShiftParams(5, 12, 1)
+        sharded = meanshift.mean_shift_filter(img, p)
+        assert pools() == 1
+        serial(monkeypatch)
+        assert np.array_equal(sharded, meanshift.mean_shift_filter(img, p))
 
 
 class TestAlgorithmRegistry:

@@ -18,9 +18,13 @@ copy ``np.unique`` makes of it.
 The netpbm readers hold the file's bytes and the stored array; the writers
 hold at most the big-endian samples, and write the header before them.
 ``LabelMap.region_sizes`` has an absolute bound instead: its table follows
-the labels present, not the largest label.
+the labels present, not the largest label.  ``mean_shift_filter`` is held
+at 128x128 on one core: its batch temporaries are a fixed size (about
+1 MB), so its bytes per pixel fall as the image grows, and ``tracemalloc``
+does not see the memory of forked pixel shards.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -32,11 +36,13 @@ from spoilseg import (
     FormatError,
     GrayImage,
     LabelMap,
+    MeanShiftParams,
     RasterRGB,
     ScalarGrid,
     SlicParams,
     evaluate_segmentation,
     hillshade,
+    mean_shift_filter,
     merge_small_regions,
     quantize8,
     read_asc_grid,
@@ -96,11 +102,11 @@ def superpixel_map():
     return LabelMap(((ys // 42) * 13 + xs // 42 + 1).astype(np.int32))
 
 
-def peak_bytes_per_pixel(stage) -> float:
+def peak_bytes_per_pixel(stage, pixels: int = N * N) -> float:
     tracemalloc.start()
     try:
         stage()
-        return tracemalloc.get_traced_memory()[1] / (N * N)
+        return tracemalloc.get_traced_memory()[1] / pixels
     finally:
         tracemalloc.stop()
 
@@ -195,6 +201,13 @@ def test_slic(ortho):
 def test_rgb_to_lab_then_slic(ortho):
     # a copy of the Lab planes inside slic would add 24 on top of the Lab image
     assert peak_bytes_per_pixel(lambda: slic(rgb_to_lab(ortho), SlicParams(superpixels=150))) <= 50
+
+
+def test_mean_shift_filter(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the serial path, all in this process
+    img = RasterRGB(np.random.default_rng(0).integers(0, 256, (128, 128, 3), dtype=np.uint8))
+    # the (x, y, r, g, b) modes alone are 40
+    assert peak_bytes_per_pixel(lambda: mean_shift_filter(img, MeanShiftParams(5, 40, 1)), 128 * 128) <= 150
 
 
 def test_evaluate_segmentation(pilefield, superpixel_map):
