@@ -254,39 +254,31 @@ def hoover_bruteforce(table: OverlapTable, threshold: float | Fraction = 0.5) ->
             free_gt.remove(gi)
             free_ms.remove(mi)
 
-    def qualifying_subsets(pool: list[int], own_size: int, sizes: dict[int, int], pair) -> list[tuple[int, ...]]:
+    def instances(own_sizes: dict[int, int], other_sizes: dict[int, int], free_own, free_other, pair) -> list:
+        """Each free own region with the one maximal subset of free other
+        regions meeting the instance conditions; with the sides swapped,
+        under-segmentation."""
         found = []
-        for r in range(2, len(pool) + 1):
-            for subset in combinations(pool, r):
-                if all(pair(other) >= T * sizes[other] for other in subset) and sum(
-                    pair(other) for other in subset
-                ) >= T * own_size:
-                    found.append(subset)
+        for own in sorted(free_own):
+            pool = sorted(free_other)
+            subsets = [
+                subset
+                for r in range(2, len(pool) + 1)
+                for subset in combinations(pool, r)
+                if all(pair(own, other) >= T * other_sizes[other] for other in subset)
+                and sum(pair(own, other) for other in subset) >= T * own_sizes[own]
+            ]
+            if subsets:
+                # maximal qualifying subset: not contained in any other
+                maximal = [s for s in subsets if not any(set(s) < set(o) for o in subsets)]
+                assert len(maximal) == 1
+                found.append((own, maximal[0]))
+                free_own.remove(own)
+                free_other.difference_update(maximal[0])
         return found
 
-    for gi in sorted(free_gt):
-        pool = sorted(free_ms)
-        subsets = qualifying_subsets(pool, gt_sizes[gi], ms_sizes, lambda mi: ov(gi, mi))
-        if subsets:
-            # maximal qualifying subset: not contained in any other
-            maximal = [s for s in subsets if not any(set(s) < set(o) for o in subsets)]
-            assert len(maximal) == 1
-            members = maximal[0]
-            result.over_instances.append((gi, members))
-            free_gt.remove(gi)
-            free_ms.difference_update(members)
-
-    for mi in sorted(free_ms):
-        pool = sorted(free_gt)
-        subsets = qualifying_subsets(pool, ms_sizes[mi], gt_sizes, lambda gi: ov(gi, mi))
-        if subsets:
-            maximal = [s for s in subsets if not any(set(s) < set(o) for o in subsets)]
-            assert len(maximal) == 1
-            members = maximal[0]
-            result.under_instances.append((mi, members))
-            free_ms.remove(mi)
-            free_gt.difference_update(members)
-
+    result.over_instances = instances(gt_sizes, ms_sizes, free_gt, free_ms, ov)
+    result.under_instances = instances(ms_sizes, gt_sizes, free_ms, free_gt, lambda mi, gi: ov(gi, mi))
     result.missed_gt = sorted(free_gt)
     result.noise_ms = sorted(free_ms)
     return result

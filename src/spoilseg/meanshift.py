@@ -46,6 +46,14 @@ _BATCH_CELLS = 1 << 13
 _SHARD_CELLS = 5 << 16
 
 
+def _square(radius: float) -> float:
+    """``radius ** 2``, or inf where that overflows: such a radius works as inf does."""
+    try:
+        return radius**2
+    except OverflowError:
+        return math.inf
+
+
 def _joint_points(img: RasterRGB) -> np.ndarray:
     h, w = img.height, img.width
     ys, xs = np.mgrid[0:h, 0:w]
@@ -66,7 +74,7 @@ def mean_shift_filter(img: RasterRGB, p: MeanShiftParams | None = None) -> np.nd
     """
     p = p if p is not None else MeanShiftParams()
     h, w = img.height, img.width
-    hs2, hr2 = p.spatial_radius**2, p.range_radius**2
+    hs2, hr2 = _square(p.spatial_radius), _square(p.range_radius)
     # Candidates are one stencil of integer offsets around the rounded query
     # position: each cell whose nearest point to any query rounding to it is
     # within spatial_radius.  Offsets past the image size never land in it.
@@ -142,7 +150,7 @@ def _link_components(modes: np.ndarray, p: MeanShiftParams) -> np.ndarray:
     def linked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d2_sp = ((a[..., :2] - b[..., :2]) ** 2).sum(axis=-1)
         d2_rg = ((a[..., 2:] - b[..., 2:]) ** 2).sum(axis=-1)
-        return (d2_sp <= p.spatial_radius**2) & (d2_rg <= p.range_radius**2)
+        return (d2_sp <= _square(p.spatial_radius)) & (d2_rg <= _square(p.range_radius))
 
     nodes = np.ones(modes.shape[:2], dtype=bool)
     return _pixel_components(nodes, linked(modes[:, :-1], modes[:, 1:]), linked(modes[:-1], modes[1:]))

@@ -37,7 +37,6 @@ class SlicParams:
 
 _NEIGHBOURS = np.array([(0, 0)] + [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx])
 _ORPHAN_BLOCK_CELLS = 1 << 18  # (orphan, center) distances held at once by the fallback
-_UPDATE_BAND_PIXELS = 1 << 16  # pixels per row band of the center update's x and y sums
 
 
 def _split_planes(lab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,11 +76,14 @@ def _seed_centers(lab: np.ndarray, step: int) -> np.ndarray:
 
 def _assign_planes(planes: tuple[np.ndarray, ...], centers: np.ndarray, step: int, compactness: float) -> np.ndarray:
     """slic_assign over split L, a, b planes (see _split_planes)."""
+    try:
+        m2_s2 = (compactness / step) ** 2
+    except OverflowError:  # like an infinite weight, it makes distances infinite or NaN
+        raise ValueError(f"compactness {compactness!r} over step {step} squares past float64") from None
     lp, ap, bp = planes
     h, w = lp.shape
     best_d2 = np.full((h, w), np.inf)
     assign = np.full((h, w), -1, dtype=np.int64)
-    m2_s2 = (compactness / step) ** 2
     xs = np.arange(w, dtype=np.float64)
     ys = np.arange(h, dtype=np.float64)
     side = 2 * step + 1
@@ -139,15 +141,6 @@ def _cluster(lab: np.ndarray, p: SlicParams) -> np.ndarray:
     step = max(1, round(math.sqrt(h * w / p.superpixels)))
     centers = _seed_centers(lab, step)
     planes = _split_planes(lab)
-    # x and y are summed per center in row bands, from one band of x offsets,
-    # one of local y offsets and y0 * count for the band at row y0.  Every
-    # partial sum is an integer below h * w * max(h, w), exact in float64 while
-    # that is below 2**53 (sides up to about 200,000), so the sums equal those
-    # over whole-image coordinate grids in any order.
-    rows = max(1, _UPDATE_BAND_PIXELS // w)
-    xs = np.tile(np.arange(w, dtype=np.float64), rows)
-    ys = np.repeat(np.arange(rows, dtype=np.float64), w)
-
     n = len(centers)
     assign = _assign_planes(planes, centers, step, p.compactness)
     for _ in range(p.iterations - 1):
@@ -156,14 +149,13 @@ def _cluster(lab: np.ndarray, p: SlicParams) -> np.ndarray:
         sums = np.zeros((5, n))
         for col, plane in enumerate(planes):
             sums[col] = np.bincount(flat, weights=plane.ravel(), minlength=n)
-        for y0 in range(0, h, rows):
-            band = flat[y0 * w : (y0 + rows) * w]
-            sums[3] += np.bincount(band, weights=xs[: band.size], minlength=n)
-            sums[4] += np.bincount(band, weights=ys[: band.size], minlength=n)
-            sums[4] += y0 * np.bincount(band, minlength=n)
+        # x and y over whole-image coordinates, one array alive at a time: each
+        # sum is an integer below h * w * max(h, w), exact in float64 below 2**53
+        sums[3] = np.bincount(flat, weights=np.tile(np.arange(w, dtype=np.float64), h), minlength=n)
+        sums[4] = np.bincount(flat, weights=np.repeat(np.arange(h, dtype=np.float64), w), minlength=n)
         nonempty = counts > 0
         centers[nonempty] = (sums[:, nonempty] / counts[nonempty]).T
-        del assign, flat, band  # no view of the map is held while the next sweep builds its own
+        del assign, flat  # no view of the map is held while the next sweep builds its own
         assign = _assign_planes(planes, centers, step, p.compactness)
     labels = assign.astype(np.int32)
     labels += 1

@@ -125,17 +125,26 @@ class SweepConfig:
                 raise ValueError(f"input {key!r} must be a path, got {value!r}")
 
 
+def _refuse_unknown_keys(obj: dict, where: str, known: tuple[str, ...]) -> None:
+    """A misspelt key would otherwise be ignored and its row scored with defaults."""
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where} has unknown key {key!r} (known: {', '.join(known)})")
+
+
 def load_sweep_config(path: str | os.PathLike) -> SweepConfig:
     """Read a sweep configuration from its JSON file."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("sweep config must be a JSON object")
+    _refuse_unknown_keys(raw, "sweep config", ("algorithm", "grid", "inputs", "threshold", "params"))
     for key in ("algorithm", "grid"):
         if key not in raw:
             raise ValueError(f"sweep config is missing {key!r}")
     inputs = raw.get("inputs", {})
     if not isinstance(inputs, dict):
         raise ValueError("inputs must be an object")
+    _refuse_unknown_keys(inputs, "inputs", ("ground_truth", "image", "hillshade"))
     return SweepConfig(
         algorithm=raw["algorithm"],
         grid=raw["grid"],

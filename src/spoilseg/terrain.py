@@ -19,21 +19,23 @@ from .grids import GrayImage, ScalarGrid, _check_params, _param
 _SAFE_NODATA = -9999.0
 # rows shaded at a time: the band's temporaries stay small next to the output
 _BAND = 64
+# the largest strength * scale whose half math.exp takes without overflow
+_MAX_STEEPNESS = 2 * math.log(np.finfo(np.float64).max)
 
 
 @dataclass
 class HillshadeParams:
     azimuth: float = _param(315.0, ge=0, lt=360)
     altitude: float = _param(45.0, gt=0, le=90)
-    z_factor: float = _param(1.0, gt=0)
+    z_factor: float = _param(1.0, gt=0, lt=math.inf)
 
     __post_init__ = _check_params
 
 
 @dataclass
 class StretchParams:
-    strength: float = _param(3.0, gt=0)
-    scale: float = _param(2.0, gt=0)
+    strength: float = _param(3.0, gt=0, lt=math.inf)
+    scale: float = _param(2.0, gt=0, lt=math.inf)
 
     __post_init__ = _check_params
 
@@ -82,7 +84,8 @@ def hillshade(dsm: ScalarGrid, params: HillshadeParams | None = None) -> ScalarG
         dzdx = ((c + 2.0 * f + i) - (a + 2.0 * d + g)) / denom
         dzdy = ((g + 2.0 * h + i) - (a + 2.0 * b + c)) / denom
 
-        slope = np.arctan(p.z_factor * np.hypot(dzdx, dzdy))
+        with np.errstate(over="ignore"):  # a product past float64 is a vertical slope
+            slope = np.arctan(p.z_factor * np.hypot(dzdx, dzdy))
         aspect = np.arctan2(dzdy, -dzdx)
         band = shade[top:bottom]
         np.multiply(math.cos(zenith), np.cos(slope), out=band)
@@ -102,6 +105,9 @@ def sigmoidal_stretch(grid: ScalarGrid, params: StretchParams | None = None) -> 
     minimum maps to 0 and the maximum to 1.  Nodata passes through.
     """
     p = params if params is not None else StretchParams()
+    k = p.strength * p.scale
+    if not k <= _MAX_STEEPNESS:  # an infinite product of finite factors too
+        raise ValueError(f"strength * scale must be <= {_MAX_STEEPNESS}, got {p.strength!r} * {p.scale!r}")
     mask = grid.nodata_mask
     if mask.all():
         raise ValueError("grid holds no data values")
@@ -110,7 +116,6 @@ def sigmoidal_stretch(grid: ScalarGrid, params: StretchParams | None = None) -> 
     if lo == hi:
         raise ValueError("constant grid: min-max normalisation undefined")
 
-    k = p.strength * p.scale
     s0 = 1.0 / (1.0 + math.exp(k * 0.5))
     s1 = 1.0 / (1.0 + math.exp(-k * 0.5))
     # one array, taken through the stretch in place, operation by operation

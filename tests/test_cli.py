@@ -87,6 +87,23 @@ class TestSynthAndHillshade:
         assert shade.values.min() >= 0.0 and shade.values.max() <= 1.0
         assert read_gray_pgm16(out_pgm).values.shape == (160, 160)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hillshade", "--strength", "710"], "strength * scale must be <= 1419.565425786768, got 710.0 * 2.0"),
+            (["hillshade", "--z-factor", "inf"], "z_factor must be < inf, got inf"),
+            (["synth", "--strength", "1000"], "strength * scale must be <= 1419.565425786768, got 1000.0 * 2.0"),
+        ],
+        ids=["hillshade-strength", "hillshade-z-factor", "synth-strength"],
+    )
+    def test_terrain_parameter_refused_by_name(self, synth_files, tmp_path, capsys, argv, message):
+        dsm, gt, _ = synth_files
+        io = ["--dsm", str(dsm), "--out", str(tmp_path / "shade.pgm")]
+        if argv[0] == "synth":
+            io = ["--dsm", str(tmp_path / "d.asc"), "--gt", str(gt), "--out-stretched", str(tmp_path / "s.pgm")]
+        assert main(argv + io) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+
     def test_hillshade_bad_extension(self, synth_files, tmp_path, capsys):
         dsm, _, _ = synth_files
         code = main(["hillshade", "--dsm", str(dsm), "--out", str(tmp_path / "x.tif")])
@@ -166,6 +183,27 @@ class TestSegmentCommands:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "compactness must be < inf, got inf"}
         assert not out.exists()
+
+    def test_slic_refuses_compactness_whose_square_overflows(self, tmp_path, capsys):
+        px = np.random.default_rng(2).integers(0, 255, size=(24, 24, 3)).astype(np.uint8)
+        src, out = tmp_path / "img.ppm", tmp_path / "slic.pgm"
+        write_ppm(RasterRGB(px), src)
+        assert main(["segment", "slic", "--in", str(src), "--k", "9", "--m", "1e200", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "compactness 1e+200 over step 8 squares past float64"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--hs", "--hr"])
+    def test_meanshift_radius_whose_square_overflows_runs_as_inf(self, tmp_path, flag):
+        px = np.random.default_rng(2).integers(0, 255, size=(12, 12, 3)).astype(np.uint8)
+        src = tmp_path / "img.ppm"
+        write_ppm(RasterRGB(px), src)
+        maps = []
+        for value in ("1e300", "inf"):
+            out = tmp_path / f"ms-{value}.pgm"
+            assert main(["segment", "meanshift", "--in", str(src), flag, value, "--min-region", "4", "--out", str(out)]) == 0
+            maps.append(out.read_bytes())
+        assert maps[0] == maps[1]
 
     def test_voronoi_refuses_infinite_sigma(self, tmp_path, capsys):
         px = np.random.default_rng(2).integers(0, 255, size=(24, 24)).astype(np.uint8)
@@ -299,6 +337,9 @@ class TestSweepCli:
             ({"grid": [12.0]}, "parameter grid must be a non-empty object"),
             ({"params": [["sigma", 6.0]]}, "params must be an object"),
             ({"inputs": ["gt.pgm"]}, "inputs must be an object"),
+            ({"treshold": 0.9}, "sweep config has unknown key 'treshold'"),
+            ({"param": {"restrict_to_foreground": False}}, "sweep config has unknown key 'param'"),
+            ({"inputs": {"ground_truth": "gt.pgm", "hillshade": "s.pgm", "mask": "m.pgm"}}, "inputs has unknown key 'mask'"),
         ],
         ids=[
             "grid-scalar",
@@ -316,6 +357,9 @@ class TestSweepCli:
             "grid-list",
             "params-list",
             "inputs-list",
+            "unknown-key",
+            "unknown-key-params-misspelt",
+            "unknown-input",
         ],
     )
     def test_malformed_config_rejected_at_load(self, synth_files, tmp_path, capsys, edit, message):

@@ -8,9 +8,10 @@ the 24 B/px Lab output plus band temporaries (``rgb_to_lab``), the label
 maps and the components kernel's run ids (``merge_small_regions``), and
 SLIC's assignment buffers, freed before its merge (``slic``): its L, a, b
 planes are views of ``rgb_to_lab``'s planar output and its center update
-sums coordinates in row bands, so the whole ortho -> Lab -> SLIC chain
-peaks in the Lab conversion.  ``relabel_connected`` holds the neighbour masks, one int32 run
-id and the int32 output per pixel.  ``quantize8`` holds one float64 work
+builds one whole-image coordinate array at a time, only while it sums, so
+the whole ortho -> Lab -> SLIC chain peaks in the Lab conversion.
+``relabel_connected`` holds the neighbour masks, one int32 run id and the
+int32 output per pixel.  ``quantize8`` holds one float64 work
 array, the nodata mask and the uint8 output.
 ``evaluate_segmentation`` of the pile field's ground truth against a
 full-frame map peaks at 18 B/px: one int64 key per pixel and the sorted
@@ -195,7 +196,7 @@ def test_merge_small_regions(superpixel_map):
 
 def test_slic(ortho):
     lab = rgb_to_lab(ortho)
-    assert peak_bytes_per_pixel(lambda: slic(lab, SlicParams(superpixels=150))) <= 24
+    assert peak_bytes_per_pixel(lambda: slic(lab, SlicParams(superpixels=150))) <= 20
 
 
 def test_rgb_to_lab_then_slic(ortho):

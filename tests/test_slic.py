@@ -1,7 +1,6 @@
 """SLIC superpixels and small-region merging."""
 
 import importlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,23 +228,19 @@ class TestCluster:
         seed=st.integers(0, 2**32 - 1),
         h=st.integers(1, 14),
         w=st.integers(1, 14),
-        band_rows=st.sampled_from([1, 3, None]),
         k=st.integers(1, 9),
         iterations=st.integers(1, 4),
         layout=st.sampled_from(LAYOUTS),
         compactness=st.sampled_from([0.5, 10.0, 30.0]),
     )
-    @example(seed=2, h=1, w=14, band_rows=3, k=3, iterations=4, layout="planar", compactness=10.0)
-    @example(seed=3, h=14, w=1, band_rows=3, k=3, iterations=4, layout="contiguous", compactness=10.0)
-    @example(seed=4, h=13, w=5, band_rows=3, k=6, iterations=3, layout="planar", compactness=0.5)
-    def test_matches_mgrid_update_oracle(self, seed, h, w, band_rows, k, iterations, layout, compactness):
-        # bands of 3 rows end short of most heights; None makes the whole image one band
+    @example(seed=2, h=1, w=14, k=3, iterations=4, layout="planar", compactness=10.0)
+    @example(seed=3, h=14, w=1, k=3, iterations=4, layout="contiguous", compactness=10.0)
+    @example(seed=4, h=13, w=5, k=6, iterations=3, layout="planar", compactness=0.5)
+    def test_matches_mgrid_update_oracle(self, seed, h, w, k, iterations, layout, compactness):
         rng = np.random.default_rng(seed)
         lab = chromatic_lab(rng, h, w, layout)
         k = min(k, h * w)
-        rows = h if band_rows is None else band_rows
-        with mock.patch.object(slic_module, "_UPDATE_BAND_PIXELS", rows * w):
-            ours = _cluster(lab, SlicParams(superpixels=k, compactness=compactness, iterations=iterations))
+        ours = _cluster(lab, SlicParams(superpixels=k, compactness=compactness, iterations=iterations))
         assert np.array_equal(ours, slic_cluster_mgrid(lab, k, compactness, iterations))
 
 

@@ -22,6 +22,7 @@ from spoilseg import (
 )
 
 SIN45 = math.sin(math.radians(45.0))
+STEEPEST = 1419.565425786768  # 2 ln(DBL_MAX): the largest strength * scale exp takes
 
 
 def ramp_expected(gradient: float, azimuth: float, altitude: float, z_factor: float = 1.0) -> float:
@@ -96,6 +97,13 @@ class TestHillshade:
         data = ~ref.nodata_mask
         assert np.array_equal(out.values[data].view(np.int64), ref.values[data].view(np.int64))
         assert np.array_equal(quantize8(out).values, quantize8(ref).values)
+
+    def test_overflowing_slope_product_is_vertical(self):
+        # 1e308 times a gradient above 1 passes float64; arctan of that inf is
+        # the pi/2 a finite steep product already rounds to
+        g = ScalarGrid(np.arange(16.0).reshape(4, 4))
+        vertical = hillshade(g, HillshadeParams(z_factor=1e300)).values
+        assert np.array_equal(hillshade(g, HillshadeParams(z_factor=1e308)).values, vertical)
 
     def test_too_small_grid(self):
         with pytest.raises(ValueError, match="3x3"):
@@ -172,6 +180,21 @@ class TestSigmoidalStretch:
         normalized = (vals - vals.min()) / (vals.max() - vals.min())
         out = sigmoidal_stretch(ScalarGrid(vals), StretchParams(strength=0.001, scale=1.0))
         assert np.allclose(out.values, normalized, atol=1e-3)
+
+    def test_steepest_stretch_runs(self):
+        params = StretchParams(strength=STEEPEST, scale=1.0)
+        out = sigmoidal_stretch(ScalarGrid(np.array([[0.0, 1.0, 2.0]])), params)
+        assert out.values.tolist() == [[0.0, 0.5, 1.0]]
+
+    @pytest.mark.parametrize(
+        "strength, scale",
+        [(710.0, 2.0), (math.nextafter(STEEPEST, math.inf), 1.0), (1e300, 1e300)],
+    )
+    def test_steepness_past_exp_refused_by_name_before_any_array_work(self, strength, scale):
+        # the grid holds no data, so any array work would fail on that first
+        grid = ScalarGrid(np.full((2, 2), -9999.0), nodata=-9999.0)
+        with pytest.raises(ValueError, match=r"^strength \* scale must be <= 1419\.565425786768, got "):
+            sigmoidal_stretch(grid, StretchParams(strength=strength, scale=scale))
 
     def test_constant_grid_rejected(self):
         with pytest.raises(ValueError, match="constant"):
