@@ -1,13 +1,16 @@
 """One exact fork map: ``fn(0), ..., fn(n - 1)`` over the usable cores.
 
-The sweep maps its grid rows through :func:`fork_map` and the mean shift
-filter its interleaved pixel shards.  With ``w`` processes, share k holds
-items k, k + w, k + 2w, ... and runs whole in one process; the caller runs
-share 0.  The running map's ``fn`` is this module's only state: forked
-workers inherit it and all it reads, so only share numbers go out and only
-results come back.  While it is set, in the caller and every worker,
-:func:`worker_count` is 1: maps never nest, so a sweep row run in a worker
-filters its pixels serially.
+The sweep maps its grid rows through :func:`fork_map`, the mean shift
+filter its interleaved pixel shards, and the ESRI ASCII grid reader and
+writer their row bands.  With ``w`` processes, share k holds items k,
+k + w, k + 2w, ... and runs whole in one process; the caller runs share 0.
+The running map's ``fn`` is this module's only state: forked workers
+inherit it and all it reads, so only share numbers go out and only results
+come back.  A caller whose results are large arrays may instead have its
+items write them into a shared mapping made before the map, as the ASC
+bands do, and return only small results.  While ``fn`` is set, in the caller
+and every worker, :func:`worker_count` is 1: maps never nest, so a sweep
+row run in a worker filters its pixels serially.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import mmap
 import os
 import re
 import stat
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fork import fork_map, worker_count
 from .grids import GrayImage, LabelMap, RasterRGB, ScalarGrid
 
 # one header token, after any whitespace and whole "#" comment lines
@@ -122,40 +124,125 @@ def _is_number(token: str) -> bool:
     return True
 
 
+# Cells from which an ASC grid is read or written in row bands, one per
+# usable core.  A cell takes about 0.35 us to parse and 0.6 us to print, and
+# a map's fork and join about 10 ms.  One band -> two, medians of 11 calls
+# on a 2-core host: read 256^2 24 -> 26-35 ms, 362^2 46 -> 36 ms, 512^2
+# 89 -> 61 ms; write 362^2 81 -> 65-80 ms, 512^2 160 -> 117-157 ms.
+_BAND_CELLS = 1 << 17
+# Bytes of a band's mapping the caller reads back at a time, a whole number of pages
+_CHUNK = 1 << 20
+
+
+def _shared(nbytes: int) -> mmap.mmap:
+    """An anonymous mapping, made before a map forks: a band written into it
+    in a worker is read by the caller without being pickled back."""
+    return mmap.mmap(-1, max(nbytes, 1))  # a mapping cannot be empty
+
+
+def _drain(shared: mmap.mmap, size: int):
+    """The first ``size`` bytes of a band's mapping, ``_CHUNK`` bytes at a
+    time.  Each chunk's pages leave the caller's resident memory once the
+    next chunk is asked for, so reading a band back adds at most one chunk
+    to it."""
+    view = memoryview(shared)
+    for start in range(0, size, _CHUNK):
+        yield view[start : min(start + _CHUNK, size)]
+        shared.madvise(mmap.MADV_DONTNEED, start, min(_CHUNK, size - start))
+
+
+def _lines(physical: bytes) -> list[str]:
+    """The lines of one LF-ended physical line, as ``str.splitlines`` ends
+    them.  Bytes that are not UTF-8 become lone surrogates, which no number
+    parses."""
+    return physical.decode("utf-8", "surrogateescape").splitlines()
+
+
+def _stream_lines(stream, size: int):
+    """The lines of the next ``size`` bytes of a binary stream."""
+    while size > 0 and (physical := stream.readline(size)):
+        size -= len(physical)
+        yield from _lines(physical)
+
+
+def _asc_header(stream) -> tuple[dict[str, str], list[str]]:
+    """An ASC stream's header fields, and the lines of the physical line
+    holding the first data row, from that row on (none without data rows).
+
+    The header ends at the first line that starts with a number; the stream
+    is left just past that line's physical line.
+    """
+    header: dict[str, str] = {}
+    for physical in stream:
+        lines = _lines(physical)
+        for i, line in enumerate(lines):
+            parts = line.split()
+            if not parts:
+                continue
+            if _is_number(parts[0]):
+                return header, lines[i:]
+            if len(parts) != 2:
+                raise FormatError(f"malformed header line: {line!r}")
+            key = parts[0].lower()
+            if key in header:
+                raise FormatError(f"duplicate header key {key}")
+            header[key] = parts[1]
+    return header, []
+
+
+def _asc_rows(lines, out: np.ndarray | None, ncols: int) -> tuple[int, tuple[int, int] | None, int | None]:
+    """Parse data lines into the rows of ``out``: the row count, the (row,
+    tokens) of the first ragged row and the first non-numeric row, counted
+    from 0.
+
+    Rows past ``out``'s length are counted, not stored; after a non-numeric
+    row nothing more is stored, and after a ragged one rows are only counted.
+    """
+    rows = 0
+    ragged: tuple[int, int] | None = None
+    bad_row: int | None = None
+    room = 0 if out is None else len(out)
+    for parts in map(str.split, lines):
+        if not parts:
+            continue
+        r = rows
+        rows += 1
+        if ragged is not None:  # only the row count can still win
+            continue
+        if len(parts) != ncols:
+            ragged = (r, len(parts))
+        elif bad_row is None and r < room:
+            try:
+                out[r] = np.fromiter(map(float, parts), np.float64, ncols)
+            except ValueError:
+                bad_row = r
+    return rows, ragged, bad_row
+
+
 def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
     """Read an ESRI ASCII grid (header keys case-insensitive, top row first).
 
-    Rows stream from the file into one preallocated array.  Lines end where
-    ``str.splitlines`` ends them, and the header ends at the first line that
-    starts with a number.  On a file with several faults the error raised is
-    the first of: a malformed or duplicate header line, a missing key, a
-    non-numeric header value, the row count, the first ragged row, a shape
-    below 1x1, the first non-numeric row, the grid's own value check.
+    Lines end where ``str.splitlines`` ends them, and the header ends at the
+    first line that starts with a number.  On a file with several faults the
+    error raised is the first of: a malformed or duplicate header line, a
+    missing key, a non-numeric header value, the row count, the first ragged
+    row, a shape below 1x1, the first non-numeric row, the grid's own value
+    check.
+
+    From ``_BAND_CELLS`` cells the data rows are parsed in byte bands, one
+    per usable core.  The cuts fall just past a LF, so no band splits a
+    character or a CRLF pair.  Each band streams its own bytes, one physical
+    line at a time; band 0 runs in the caller and parses into the grid, and
+    every other band parses into a shared mapping that the caller copies
+    into place.  A pipe is read whole, as one band.
     """
-    header: dict[str, str] = {}
-    # undecodable bytes become lone surrogates, which no number parses
-    with open(path, encoding="utf-8", errors="surrogateescape") as stream:
+    with open(path, "rb") as stream:
         info = os.fstat(stream.fileno())
-        text = stream
         size = info.st_size  # bytes, at least one per character
-        if not stat.S_ISREG(info.st_mode):  # a pipe has no size: hold its text to measure it
-            text = io.StringIO(stream.read())
-            size = len(text.getvalue())
-        lines = (part for physical in text for part in physical.splitlines())
-        for line in lines:
-            first = line.split()  # the first data row once the loop breaks
-            if not first:
-                continue
-            if _is_number(first[0]):
-                break
-            if len(first) != 2:
-                raise FormatError(f"malformed header line: {line!r}")
-            key = first[0].lower()
-            if key in header:
-                raise FormatError(f"duplicate header key {key}")
-            header[key] = first[1]
-        else:
-            first = []  # no data row
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size and cannot seek: hold its bytes
+            stream = io.BytesIO(stream.read())
+            size = len(stream.getvalue())
+        header, head = _asc_header(stream)
 
         for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
             if key not in header:
@@ -175,24 +262,41 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
         values = None
         if 1 <= nrows and 1 <= ncols and nrows * ncols <= (size + 1) // 2:
             values = np.empty((nrows, ncols), dtype=np.float64)
-        rows = 0
-        ragged: tuple[int, int] | None = None  # (row, tokens) of the first ragged row
-        bad_row: int | None = None  # first row with a non-numeric token
-        for parts in itertools.chain([first], map(str.split, lines)):
-            if not parts:
-                continue
-            r = rows
-            rows += 1
-            if ragged is not None:  # only the row count can still win
-                continue
-            if len(parts) != ncols:
-                ragged = (r, len(parts))
-            elif bad_row is None and values is not None and r < nrows:
-                try:
-                    values[r] = list(map(float, parts))
-                except ValueError:
-                    bad_row = r
+        bands = 1  # nothing to parse into, or a pipe, which later bands could not open
+        if values is not None and values.size >= _BAND_CELLS and stat.S_ISREG(info.st_mode):
+            bands = worker_count(nrows)
+        # about equal byte shares of the data, each cut moved on to just past a LF
+        start = stream.tell()
+        cuts = [start]
+        for k in range(1, bands):
+            stream.seek(start + k * (size - start) // bands)
+            stream.readline()
+            cuts.append(stream.tell())
+        cuts.append(size)
+        stream.seek(start)
+        # each later band parses into a mapping of its own, sized for the rows its bytes can hold
+        rooms = [min(nrows, (cuts[k + 1] - cuts[k] + 1) // 2 // ncols) for k in range(1, bands)]
+        maps = [_shared(8 * ncols * room) for room in rooms]
+        regions = [values] + [np.frombuffer(m, np.float64, len(m) // 8).reshape(-1, ncols) for m in maps]
 
+        def band(k: int) -> tuple[int, tuple[int, int] | None, int | None]:
+            if k == 0:
+                return _asc_rows(itertools.chain(head, _stream_lines(stream, cuts[1] - start)), values, ncols)
+            with open(path, "rb") as own:  # a file offset of its own
+                own.seek(cuts[k])
+                return _asc_rows(_stream_lines(own, cuts[k + 1] - cuts[k]), regions[k], ncols)
+
+        results = fork_map(band, bands)
+
+    rows = 0
+    ragged: tuple[int, int] | None = None  # (row, tokens) of the first ragged row
+    bad_row: int | None = None  # first row with a non-numeric token
+    for count, band_ragged, band_bad in results:
+        if ragged is None and band_ragged is not None:
+            ragged = (rows + band_ragged[0], band_ragged[1])
+        if bad_row is None and band_bad is not None:
+            bad_row = rows + band_bad
+        rows += count
     if rows != nrows:
         raise FormatError(f"expected {nrows} data rows, got {rows}")
     if ragged is not None:
@@ -201,6 +305,12 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
         raise FormatError(f"grid must be at least 1x1, header declares {ncols}x{nrows}")
     if bad_row is not None:
         raise FormatError(f"non-numeric token in row {bad_row}")
+    grid_bytes = memoryview(values).cast("B")
+    at = 8 * ncols * results[0][0]
+    for shared, (count, _, _) in zip(maps, results[1:]):
+        for chunk in _drain(shared, 8 * ncols * count):
+            grid_bytes[at : at + len(chunk)] = chunk
+            at += len(chunk)
     try:
         return ScalarGrid(values, cellsize=cellsize, nodata=nodata)
     except ValueError as exc:
@@ -208,8 +318,18 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
 
 
 def write_asc_grid(grid: ScalarGrid, path: str | os.PathLike) -> None:
-    """Write an ESRI ASCII grid row by row; float values use shortest
-    round-trip notation."""
+    """Write an ESRI ASCII grid; float values use shortest round-trip
+    notation.
+
+    From ``_BAND_CELLS`` cells the rows are printed in row bands, one per
+    usable core.  Band 0 runs in the caller and streams its rows to the
+    file; every other band prints its rows into a shared mapping, whose
+    bytes the caller then writes after band 0's, in band order.
+    """
+    values = grid.values
+    height, width = values.shape
+    bands = worker_count(height) if values.size >= _BAND_CELLS else 1
+    bounds = [k * height // bands for k in range(bands + 1)]
     header = [
         f"ncols {grid.width}",
         f"nrows {grid.height}",
@@ -219,7 +339,18 @@ def write_asc_grid(grid: ScalarGrid, path: str | os.PathLike) -> None:
     ]
     if grid.nodata is not None:
         header.append(f"NODATA_value {float(grid.nodata)!r}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(header) + "\n")
-        for row in grid.values:
-            f.write(" ".join(map(repr, row.tolist())) + "\n")
+    with open(path, "wb") as f:
+        f.write(("\n".join(header) + "\n").encode())
+        # the longest float repr has 24 characters, and a separator follows each
+        sinks = [f] + [_shared(25 * width * (bounds[k + 1] - bounds[k])) for k in range(1, bands)]
+
+        def band(k: int) -> int:
+            sink = sinks[k]
+            for row in values[bounds[k] : bounds[k + 1]]:
+                sink.write((" ".join(map(repr, row.tolist())) + "\n").encode())
+            return sink.tell()
+
+        ends = fork_map(band, bands)
+        for shared, end in zip(sinks[1:], ends[1:]):
+            for chunk in _drain(shared, end):
+                f.write(chunk)

@@ -82,6 +82,11 @@ def _assign_planes(planes: tuple[np.ndarray, ...], centers: np.ndarray, step: in
         raise ValueError(f"compactness {compactness!r} over step {step} squares past float64") from None
     lp, ap, bp = planes
     h, w = lp.shape
+    # the largest spatial term, the orphan fallback's reach across the whole image
+    if math.isinf(float(h * h + w * w) * m2_s2):
+        raise ValueError(
+            f"compactness {compactness!r} over step {step} weights a {h}x{w} image's distances past float64"
+        )
     best_d2 = np.full((h, w), np.inf)
     assign = np.full((h, w), -1, dtype=np.int64)
     xs = np.arange(w, dtype=np.float64)

@@ -21,6 +21,8 @@ _SAFE_NODATA = -9999.0
 _BAND = 64
 # the largest strength * scale whose half math.exp takes without overflow
 _MAX_STEEPNESS = 2 * math.log(np.finfo(np.float64).max)
+# the largest height whose Horn sums (eight heights, weighted 1-2-1 per side) stay finite
+_MAX_HEIGHT = float(np.finfo(np.float64).max) / 8
 
 
 @dataclass
@@ -54,11 +56,19 @@ def hillshade(dsm: ScalarGrid, params: HillshadeParams | None = None) -> ScalarG
     Cells whose 3x3 window touches nodata become nodata in the output.
     The grid is shaded in bands of ``_BAND`` rows, each read with one row of
     its neighbours above and below, so every cell sees the same window as in
-    one whole-grid pass.
+    one whole-grid pass.  A DSM with a height beyond float64's largest
+    value / 8 is refused, as its Horn sums would overflow; a gradient or a
+    z_factor product past float64 shades as a vertical slope.
     """
     p = params if params is not None else HillshadeParams()
     if dsm.height < 3 or dsm.width < 3:
         raise ValueError("hillshade needs a grid of at least 3x3 cells")
+
+    keep = True if dsm.nodata is None else dsm.values != dsm.nodata
+    reach = float(max(-dsm.values.min(where=keep, initial=0.0), dsm.values.max(where=keep, initial=0.0)))
+    del keep  # freed before the bands
+    if reach > _MAX_HEIGHT:
+        raise ValueError(f"dsm heights must lie within +-{_MAX_HEIGHT!r} for the Horn sums, got {reach!r}")
 
     height = dsm.height
     denom = 8.0 * dsm.cellsize
@@ -81,10 +91,9 @@ def hillshade(dsm: ScalarGrid, params: HillshadeParams | None = None) -> ScalarG
         a, b, c = z[:-2, :-2], z[:-2, 1:-1], z[:-2, 2:]
         d, f = z[1:-1, :-2], z[1:-1, 2:]
         g, h, i = z[2:, :-2], z[2:, 1:-1], z[2:, 2:]
-        dzdx = ((c + 2.0 * f + i) - (a + 2.0 * d + g)) / denom
-        dzdy = ((g + 2.0 * h + i) - (a + 2.0 * b + c)) / denom
-
-        with np.errstate(over="ignore"):  # a product past float64 is a vertical slope
+        with np.errstate(over="ignore"):  # a quotient or product past float64 is a vertical slope
+            dzdx = ((c + 2.0 * f + i) - (a + 2.0 * d + g)) / denom
+            dzdy = ((g + 2.0 * h + i) - (a + 2.0 * b + c)) / denom
             slope = np.arctan(p.z_factor * np.hypot(dzdx, dzdy))
         aspect = np.arctan2(dzdy, -dzdx)
         band = shade[top:bottom]
@@ -102,12 +111,20 @@ def sigmoidal_stretch(grid: ScalarGrid, params: StretchParams | None = None) -> 
 
     Non-nodata values are min-max normalised to x in [0, 1], passed through
     s(x) = 1 / (1 + exp(-strength*scale*(x - 0.5))) and rescaled so the grid
-    minimum maps to 0 and the maximum to 1.  Nodata passes through.
+    minimum maps to 0 and the maximum to 1.  Nodata passes through.  A
+    strength * scale past ``math.exp``'s range, or so small that s(0) and
+    s(1) round to one value, is refused before any array work.
     """
     p = params if params is not None else StretchParams()
     k = p.strength * p.scale
     if not k <= _MAX_STEEPNESS:  # an infinite product of finite factors too
         raise ValueError(f"strength * scale must be <= {_MAX_STEEPNESS}, got {p.strength!r} * {p.scale!r}")
+    s0 = 1.0 / (1.0 + math.exp(k * 0.5))
+    s1 = 1.0 / (1.0 + math.exp(-k * 0.5))
+    if s0 == s1:  # the rescale would divide 0 by 0
+        raise ValueError(
+            f"strength * scale is too small for the curve's ends to differ, got {p.strength!r} * {p.scale!r}"
+        )
     mask = grid.nodata_mask
     if mask.all():
         raise ValueError("grid holds no data values")
@@ -116,8 +133,6 @@ def sigmoidal_stretch(grid: ScalarGrid, params: StretchParams | None = None) -> 
     if lo == hi:
         raise ValueError("constant grid: min-max normalisation undefined")
 
-    s0 = 1.0 / (1.0 + math.exp(k * 0.5))
-    s1 = 1.0 / (1.0 + math.exp(-k * 0.5))
     # one array, taken through the stretch in place, operation by operation
     y = np.where(mask, lo, grid.values)  # keep the sigmoid off the sentinel
     y -= lo

@@ -6,7 +6,9 @@ double loops) and shares no code with the package under test.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from collections import deque
 
 import numpy as np
@@ -548,6 +550,98 @@ def read_asc_whole(path) -> tuple[np.ndarray, float, float | None]:
         except ValueError:
             raise AscFormatError(f"non-numeric token in row {r}") from None
     return values, cellsize, nodata
+
+
+def read_asc_stream(path) -> tuple[np.ndarray | None, float, float | None]:
+    """ESRI ASCII grid reader over one text stream, in one process.
+
+    Each physical line is split with ``str.splitlines`` and each row parsed
+    into one preallocated array, allocated only when the declared cells fit
+    the file.  Returns the raw (values, cellsize, nodata) before any check of
+    the values themselves, or raises ``AscFormatError`` for the first fault
+    in the order the format documents.
+    """
+    header: dict[str, str] = {}
+    with open(path, encoding="utf-8", errors="surrogateescape") as stream:
+        size = os.fstat(stream.fileno()).st_size
+        lines = (part for physical in stream for part in physical.splitlines())
+        first: list[str] = []
+        for line in lines:
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                float(parts[0])
+                first = parts
+                break
+            except ValueError:
+                pass
+            if len(parts) != 2:
+                raise AscFormatError(f"malformed header line: {line!r}")
+            key = parts[0].lower()
+            if key in header:
+                raise AscFormatError(f"duplicate header key {key}")
+            header[key] = parts[1]
+
+        for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+            if key not in header:
+                raise AscFormatError(f"missing header key {key}")
+        try:
+            ncols = int(header["ncols"])
+            nrows = int(header["nrows"])
+            float(header["xllcorner"])
+            float(header["yllcorner"])
+            cellsize = float(header["cellsize"])
+            nodata = float(header["nodata_value"]) if "nodata_value" in header else None
+        except ValueError:
+            raise AscFormatError("non-numeric header value") from None
+
+        values = None
+        if 1 <= nrows and 1 <= ncols and nrows * ncols <= (size + 1) // 2:
+            values = np.empty((nrows, ncols), dtype=np.float64)
+        rows, ragged, bad_row = 0, None, None
+        for parts in itertools.chain([first], map(str.split, lines)):
+            if not parts:
+                continue
+            r = rows
+            rows += 1
+            if ragged is not None:
+                continue
+            if len(parts) != ncols:
+                ragged = (r, len(parts))
+            elif bad_row is None and values is not None and r < nrows:
+                try:
+                    values[r] = list(map(float, parts))
+                except ValueError:
+                    bad_row = r
+
+    if rows != nrows:
+        raise AscFormatError(f"expected {nrows} data rows, got {rows}")
+    if ragged is not None:
+        raise AscFormatError(f"row {ragged[0]} has {ragged[1]} tokens, expected {ncols}")
+    if nrows < 1 or ncols < 1:
+        raise AscFormatError(f"grid must be at least 1x1, header declares {ncols}x{nrows}")
+    if bad_row is not None:
+        raise AscFormatError(f"non-numeric token in row {bad_row}")
+    return values, cellsize, nodata
+
+
+def write_asc_stream(values: np.ndarray, cellsize: float, nodata: float | None, path) -> None:
+    """ESRI ASCII grid writer that streams the header and each row to one
+    text file, values in shortest round-trip notation."""
+    header = [
+        f"ncols {values.shape[1]}",
+        f"nrows {values.shape[0]}",
+        "xllcorner 0.0",
+        "yllcorner 0.0",
+        f"cellsize {float(cellsize)!r}",
+    ]
+    if nodata is not None:
+        header.append(f"NODATA_value {float(nodata)!r}")
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(header) + "\n")
+        for row in values:
+            f.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 class NetpbmFormatError(ValueError):

@@ -193,6 +193,20 @@ class TestSegmentCommands:
         assert err == {"error": "ValueError", "message": "compactness 1e+200 over step 8 squares past float64"}
         assert not out.exists()
 
+    def test_slic_refuses_compactness_whose_spatial_distances_overflow(self, tmp_path, capsys):
+        # (m / S)^2 passes float64; times the image's 24^2 + 24^2 it does not
+        px = np.random.default_rng(2).integers(0, 255, size=(24, 24, 3)).astype(np.uint8)
+        src, out = tmp_path / "img.ppm", tmp_path / "slic.pgm"
+        write_ppm(RasterRGB(px), src)
+        assert main(["segment", "slic", "--in", str(src), "--k", "4", "--m", "1e154", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "compactness 1e+154 over step 12 weights a 24x24 image's distances past float64",
+        }
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--hs", "--hr"])
     def test_meanshift_radius_whose_square_overflows_runs_as_inf(self, tmp_path, flag):
         px = np.random.default_rng(2).integers(0, 255, size=(12, 12, 3)).astype(np.uint8)

@@ -18,6 +18,9 @@ full-frame map peaks at 18 B/px: one int64 key per pixel and the sorted
 copy ``np.unique`` makes of it.
 The netpbm readers hold the file's bytes and the stored array; the writers
 hold at most the big-endian samples, and write the header before them.
+The ASC reader and writer run in row bands at this size on two or more
+cores; ``tracemalloc`` sees only the caller's band, not the shared mappings
+the other bands fill.
 ``LabelMap.region_sizes`` has an absolute bound instead: its table follows
 the labels present, not the largest label.  ``mean_shift_filter`` is held
 at 128x128 on one core: its batch temporaries are a fixed size (about

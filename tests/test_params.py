@@ -97,7 +97,8 @@ STAGES = {
 }
 BASE = {SlicParams: {"superpixels": 4}}
 # Every float field with no finite upper bound, at values whose squares and
-# products pass float64, and a compactness whose (m / S)^2 does.
+# products pass float64, a compactness whose (m / S)^2 does, and one whose
+# (m / S)^2 times the image's squared diagonal does.
 # VoronoiParams.sigma is left out, as are peak_radius and the iteration
 # counts: their cost grows with the value, so a huge one is slow, not wrong.
 UNBOUNDED = [
@@ -107,7 +108,7 @@ UNBOUNDED = [
     if hint is float and bounds.get("lt", bounds.get("le", math.inf)) == math.inf
 ]
 HUGE = [(cls, name, value) for cls, name in UNBOUNDED for value in (1e300, math.inf)]
-HUGE.append((SlicParams, "compactness", 1e200))
+HUGE += [(SlicParams, "compactness", 1e200), (SlicParams, "compactness", 1e154)]
 
 
 @pytest.mark.parametrize(

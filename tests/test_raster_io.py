@@ -1,5 +1,6 @@
 """Format readers/writers: worked examples, error reporting, round-trips."""
 
+import mmap
 import os
 import threading
 
@@ -12,8 +13,10 @@ from oracles import (
     AscFormatError,
     NetpbmFormatError,
     flood_fill_components,
+    read_asc_stream,
     read_asc_whole,
     read_netpbm_loop,
+    write_asc_stream,
     zero_small_regions,
 )
 from spoilseg import (
@@ -33,6 +36,8 @@ from spoilseg import (
     write_pgm16,
     write_ppm,
 )
+from spoilseg import raster_io
+from spoilseg._fork import worker_count
 
 
 # line ends str.splitlines honours, and cells that reach every branch of float()
@@ -66,6 +71,34 @@ def asc_texts(draw) -> str:
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(spoilers)))
     text = "".join(line + draw(st.sampled_from(_LINE_ENDS)) for line in lines)
     return text if draw(st.booleans()) else text.rstrip()
+
+
+@pytest.fixture
+def force_bands(monkeypatch):
+    """``force_bands(n)``: every ASC read with a grid to parse into, and every
+    write, runs in n bands from then on, all of them in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the fork map's own count: 1
+    monkeypatch.setattr(raster_io, "_BAND_CELLS", 0)
+
+    def force(bands):
+        monkeypatch.setattr(raster_io, "worker_count", lambda n: bands)
+
+    return force
+
+
+@pytest.fixture
+def band_rows(monkeypatch):
+    """The row count of every band parsed, in order."""
+    counts = []
+    parse = raster_io._asc_rows
+
+    def counting(lines, out, ncols):
+        result = parse(lines, out, ncols)
+        counts.append(result[0])
+        return result
+
+    monkeypatch.setattr(raster_io, "_asc_rows", counting)
+    return counts
 
 
 # netpbm header pieces: each whitespace byte, comments (one holding a carriage
@@ -360,10 +393,11 @@ class TestAscGrid:
     @settings(
         max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(text=asc_texts())
-    def test_matches_whole_text_oracle(self, tmp_path, text):
+    @given(text=asc_texts(), bands=st.integers(1, 4))
+    def test_matches_whole_text_oracle(self, tmp_path, force_bands, text, bands):
         path = tmp_path / "any.asc"
         path.write_bytes(text.encode("utf-8"))
+        force_bands(bands)
         try:
             values, cellsize, nodata = read_asc_whole(path)
             expected = ScalarGrid(values, cellsize=cellsize, nodata=nodata)
@@ -411,6 +445,176 @@ class TestAscGrid:
         path.write_bytes(b"ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n\xff\xfe\n")
         with pytest.raises(FormatError, match="malformed header line"):
             read_asc_grid(path)
+
+
+def _stream_read(path):
+    """The streaming oracle's grid, or the message of the error it raises."""
+    try:
+        values, cellsize, nodata = read_asc_stream(path)
+        return ScalarGrid(values, cellsize=cellsize, nodata=nodata)
+    except (AscFormatError, ValueError) as exc:
+        return str(exc)
+
+
+def _read(path):
+    """``read_asc_grid``'s grid, or the message of the ``FormatError`` it raises."""
+    try:
+        return read_asc_grid(path)
+    except FormatError as exc:
+        assert type(exc) is FormatError
+        return str(exc)
+
+
+def _assert_same_read(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    assert np.array_equal(got.values.view(np.int64), expected.values.view(np.int64))
+    assert repr((got.cellsize, got.nodata)) == repr((expected.cellsize, expected.nodata))
+
+
+_HEAD = "ncols 2\nnrows 8\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+
+
+class TestAscBands:
+    """The reader and writer, run in this process at forced band counts,
+    against the one-stream oracles."""
+
+    # every second row ends in the separator, the others in LF; the padding
+    # on row 1 moves the cut targets across every byte of the later rows
+    @pytest.mark.parametrize(
+        "sep", ["\n\n", "\r\n", "\r", "\u2028", "\x85", "\n  \n"],
+        ids=["blank-line", "crlf", "cr", "u2028", "nel", "spaces-line"],
+    )
+    def test_cuts_keep_every_row(self, tmp_path, force_bands, band_rows, sep):
+        for pad in range(40):
+            rows = [f"{r}.25 -{r}e3" for r in range(8)]
+            rows[1] += " " * pad
+            path = tmp_path / f"cut{pad}.asc"
+            text = _HEAD + "".join(row + (sep if r % 2 else "\n") for r, row in enumerate(rows))
+            path.write_bytes(text.encode())
+            expected = _stream_read(path)
+            assert np.array_equal(expected.values, [[r + 0.25, -r * 1e3] for r in range(8)])
+            for bands in range(1, 5):
+                band_rows.clear()
+                force_bands(bands)
+                _assert_same_read(_read(path), expected)
+                assert len(band_rows) == bands and sum(band_rows) == 8
+        # the cuts did split the rows between bands
+        assert max(band_rows[1:]) > 0
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["1 2"] * 6 + ["1 2 3", "1 2"], "row 6 has 3 tokens, expected 2"),
+            (["1 2"] * 6 + ["1 x", "1 2"], "non-numeric token in row 6"),
+            (["1 x"] + ["1 2"] * 6 + ["3"], "row 7 has 1 tokens, expected 2"),
+            (["1 2", "3"] + ["1 2"] * 5 + ["x 2"], "row 1 has 1 tokens, expected 2"),
+            (["1 2"] * 3 + ["y 2"] + ["1 2"] * 3 + ["x 2"], "non-numeric token in row 3"),
+            (["1 2"] * 9, "expected 8 data rows, got 9"),
+            (["1 2"] * 6 + ["1 2 3"], "expected 8 data rows, got 7"),
+            (["1 2"] * 7 + ["1 2 3", "1 2"], "expected 8 data rows, got 9"),
+        ],
+        ids=[
+            "ragged-late", "non-numeric-late", "ragged-late-beats-non-numeric-early",
+            "ragged-early-beats-non-numeric-late", "first-non-numeric-of-two", "too-many-rows",
+            "too-few-rows", "row-count-beats-ragged",
+        ],
+    )
+    def test_first_fault_across_bands(self, tmp_path, force_bands, rows, message):
+        path = tmp_path / "faults.asc"
+        path.write_text(_HEAD + "\n".join(rows) + "\n")
+        assert _stream_read(path) == message
+        for bands in range(1, 5):
+            force_bands(bands)
+            assert _read(path) == message
+
+    @pytest.mark.parametrize(
+        "dims, rows, message",
+        [
+            ("ncols 1000\nnrows 1000", "1 2\n3 4\n", "expected 1000 data rows, got 2"),
+            ("ncols 1000000000000\nnrows 1", "1 2 3\n", "row 0 has 3 tokens, expected 1000000000000"),
+            ("ncols -1\nnrows 0", "", "grid must be at least 1x1, header declares -1x0"),
+        ],
+        ids=["too-tall", "too-wide", "negative-width"],
+    )
+    def test_shape_the_file_cannot_hold(self, tmp_path, force_bands, band_rows, dims, rows, message):
+        # no grid is allocated, so there is nothing to parse into: one band counts the rows
+        path = tmp_path / "short.asc"
+        path.write_text(f"{dims}\nxllcorner 0\nyllcorner 0\ncellsize 1\n{rows}")
+        assert _stream_read(path) == message
+        for bands in range(1, 5):
+            force_bands(bands)
+            assert _read(path) == message
+        assert len(band_rows) == 4
+
+    def test_pipe_reads_as_one_band(self, tmp_path, force_bands, band_rows):
+        # later bands open the file at their own offsets, which a pipe cannot give
+        path = tmp_path / "pipe.asc"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(_HEAD + "1 2\n" * 8,), daemon=True)
+        writer.start()
+        force_bands(3)
+        try:
+            assert read_asc_grid(path).values.tolist() == [[1.0, 2.0]] * 8
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert band_rows == [8]
+
+    @pytest.mark.parametrize("bands", [1, 2, 3, 4])
+    def test_written_bytes_match_the_stream_oracle(self, tmp_path, force_bands, bands):
+        rng = np.random.default_rng(bands)
+        grids = [np.full((5, 3), -2.2250738585072014e-308)]  # the longest repr fills a band's mapping
+        for shape in [(1, 1), (2, 5), (7, 4), (9, 9)]:
+            grids.append(rng.normal(size=shape) * rng.choice([5e-324, 1e-300, 1e-6, 1.0, 1e300], size=shape))
+        force_bands(bands)
+        for values in grids:
+            nodata = float(values.flat[-1])
+            path, oracle = tmp_path / "bands.asc", tmp_path / "stream.asc"
+            write_asc_grid(ScalarGrid(values, cellsize=0.3, nodata=nodata), path)
+            write_asc_stream(values, 0.3, nodata, oracle)
+            assert path.read_bytes() == oracle.read_bytes()
+            back = read_asc_grid(path)
+            assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+
+
+def test_forked_bands_at_the_gate(tmp_path, monkeypatch):
+    """A grid of ``_BAND_CELLS`` cells is written and read in one band per
+    usable core; a fault in the last band is raised as in one stream."""
+    maps = []
+    fork_map = raster_io.fork_map
+    monkeypatch.setattr(raster_io, "fork_map", lambda fn, n: maps.append(n) or fork_map(fn, n))
+    monkeypatch.setattr(raster_io, "_CHUNK", mmap.PAGESIZE)  # each band read back in many chunks
+    width = 256
+    height = raster_io._BAND_CELLS // width
+    values = np.random.default_rng(0).normal(scale=100.0, size=(height, width))
+    path, oracle = tmp_path / "gate.asc", tmp_path / "stream.asc"
+    write_asc_grid(ScalarGrid(values, cellsize=0.5), path)
+    write_asc_stream(values, 0.5, None, oracle)
+    assert path.read_bytes() == oracle.read_bytes()
+    assert np.array_equal(read_asc_grid(path).values, values)
+
+    text = path.read_bytes()
+    last = text.rindex(b"\n", 0, -1) + 1
+    bad = tmp_path / "bad.asc"
+    bad.write_bytes(text[:last] + b"x" + text[last:])  # glues "x" to the last row's first token
+    with pytest.raises(FormatError, match=f"^non-numeric token in row {height - 1}$"):
+        read_asc_grid(bad)
+    bad.write_bytes(text[:-1] + b" 1\n")
+    with pytest.raises(FormatError, match=f"^row {height - 1} has {width + 1} tokens, expected {width}$"):
+        read_asc_grid(bad)
+    bad.write_bytes(text[:last])
+    with pytest.raises(FormatError, match=f"^expected {height} data rows, got {height - 1}$"):
+        read_asc_grid(bad)
+    assert maps == [worker_count(height)] * 5
+
+    # one cell fewer stays in one band
+    small = ScalarGrid(values.ravel()[:-1].reshape(-1, 1))
+    write_asc_grid(small, path)
+    assert np.array_equal(read_asc_grid(path).values, small.values)
+    assert maps[5:] == [1, 1]
 
 
 class TestRelabelConnected:

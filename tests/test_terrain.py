@@ -105,6 +105,27 @@ class TestHillshade:
         vertical = hillshade(g, HillshadeParams(z_factor=1e300)).values
         assert np.array_equal(hillshade(g, HillshadeParams(z_factor=1e308)).values, vertical)
 
+    def test_heights_past_the_horn_sums_refused_by_name(self):
+        values = np.zeros((4, 4))
+        values[:, 2:] = 1e308
+        message = r"^dsm heights must lie within \+-2\.2471164185778946e\+307 .*, got 1e\+308$"
+        with pytest.raises(ValueError, match=message):
+            hillshade(ScalarGrid(values))
+
+    def test_largest_heights_and_a_sentinel_past_them_shade(self):
+        values = np.zeros((4, 4))
+        values[:, 2:] = -terrain._MAX_HEIGHT
+        values[0, 0] = -np.finfo(np.float64).max
+        out = hillshade(ScalarGrid(values, nodata=values[0, 0]))
+        assert np.isfinite(out.values).all()
+
+    def test_overflowing_gradient_is_vertical(self):
+        # 4e300 over 8e-300 passes float64 in the division, as 5e299 * 1e308 does in the product
+        values = np.zeros((4, 4))
+        values[:, 2:] = 1e300
+        vertical = hillshade(ScalarGrid(values), HillshadeParams(z_factor=1e308)).values
+        assert np.array_equal(hillshade(ScalarGrid(values, cellsize=1e-300)).values, vertical)
+
     def test_too_small_grid(self):
         with pytest.raises(ValueError, match="3x3"):
             hillshade(ScalarGrid(np.zeros((2, 5))))
@@ -194,6 +215,14 @@ class TestSigmoidalStretch:
         # the grid holds no data, so any array work would fail on that first
         grid = ScalarGrid(np.full((2, 2), -9999.0), nodata=-9999.0)
         with pytest.raises(ValueError, match=r"^strength \* scale must be <= 1419\.565425786768, got "):
+            sigmoidal_stretch(grid, StretchParams(strength=strength, scale=scale))
+
+    @pytest.mark.parametrize("strength, scale", [(1e-9, 1e-9), (5e-324, 1.0)])
+    def test_flat_curve_refused_by_name_before_any_array_work(self, strength, scale):
+        # s(0) and s(1) round to 0.5, so the rescale would divide 0 by 0
+        grid = ScalarGrid(np.full((2, 2), -9999.0), nodata=-9999.0)
+        message = r"^strength \* scale is too small for the curve's ends to differ, got "
+        with pytest.raises(ValueError, match=message):
             sigmoidal_stretch(grid, StretchParams(strength=strength, scale=scale))
 
     def test_constant_grid_rejected(self):
