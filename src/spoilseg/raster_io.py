@@ -14,8 +14,8 @@ netpbm formats.
 
 from __future__ import annotations
 
+import functools
 import io
-import itertools
 import mmap
 import os
 import re
@@ -130,8 +130,9 @@ def _is_number(token: str) -> bool:
 # on a 2-core host: read 256^2 24 -> 26-35 ms, 362^2 46 -> 36 ms, 512^2
 # 89 -> 61 ms; write 362^2 81 -> 65-80 ms, 512^2 160 -> 117-157 ms.
 _BAND_CELLS = 1 << 17
-# Bytes of a band's mapping the caller reads back at a time, a whole number of pages
-_CHUNK = 1 << 20
+# Bytes read at a time: an ASC file's physical reads, each cut search and
+# each read-back of a band's mapping (a whole number of pages)
+_CHUNK = 1 << 16
 
 
 def _shared(nbytes: int) -> mmap.mmap:
@@ -142,52 +143,55 @@ def _shared(nbytes: int) -> mmap.mmap:
 
 def _drain(shared: mmap.mmap, size: int):
     """The first ``size`` bytes of a band's mapping, ``_CHUNK`` bytes at a
-    time.  Each chunk's pages leave the caller's resident memory once the
-    next chunk is asked for, so reading a band back adds at most one chunk
-    to it."""
+    time.  The pages of each chunk leave the caller's resident memory once
+    the next is asked for, and come back from the mapping if touched again,
+    so reading a band back adds at most one chunk to it."""
     view = memoryview(shared)
     for start in range(0, size, _CHUNK):
         yield view[start : min(start + _CHUNK, size)]
-        shared.madvise(mmap.MADV_DONTNEED, start, min(_CHUNK, size - start))
-
-
-def _lines(physical: bytes) -> list[str]:
-    """The lines of one LF-ended physical line, as ``str.splitlines`` ends
-    them.  Bytes that are not UTF-8 become lone surrogates, which no number
-    parses."""
-    return physical.decode("utf-8", "surrogateescape").splitlines()
+        page = start - start % mmap.PAGESIZE  # a chunk shorter than a page starts inside one
+        shared.madvise(mmap.MADV_DONTNEED, page, min(start + _CHUNK, size) - page)
 
 
 def _stream_lines(stream, size: int):
-    """The lines of the next ``size`` bytes of a binary stream."""
-    while size > 0 and (physical := stream.readline(size)):
-        size -= len(physical)
-        yield from _lines(physical)
-
-
-def _asc_header(stream) -> tuple[dict[str, str], list[str]]:
-    """An ASC stream's header fields, and the lines of the physical line
-    holding the first data row, from that row on (none without data rows).
-
-    The header ends at the first line that starts with a number; the stream
-    is left just past that line's physical line.
+    """The lines of the next ``size`` bytes of a binary stream, each with its
+    end, as ``str.splitlines`` ends them; bytes that are not UTF-8 become
+    lone surrogates, which no number parses.  A read takes at most ``_CHUNK``
+    bytes, up to a LF; one that stops mid-line is cut just past its last CR,
+    and the rest is carried into the next, so no read splits a character.
     """
+    carry = bytearray()  # the bytes of a line not yet ended
+    while size > 0 and (piece := stream.readline(min(size, _CHUNK))):
+        size -= len(piece)
+        if size and len(piece) == _CHUNK and not piece.endswith(b"\n"):  # stopped mid-line
+            carry += piece
+            cut = carry.rfind(b"\r", len(carry) - len(piece)) + 1  # the carry before held no CR
+            piece = carry[:cut]
+            del carry[:cut]
+        elif carry:
+            piece, carry = carry + piece, bytearray()
+        yield from piece.decode("utf-8", "surrogateescape").splitlines(True)
+    yield from carry.decode("utf-8", "surrogateescape").splitlines(True)
+
+
+def _asc_header(stream, size: int) -> tuple[dict[str, str], int]:
+    """An ASC stream's header fields, and the byte offset of its first data
+    row: the first line that starts with a number (``size`` if none does)."""
     header: dict[str, str] = {}
-    for physical in stream:
-        lines = _lines(physical)
-        for i, line in enumerate(lines):
-            parts = line.split()
-            if not parts:
-                continue
+    offset = 0
+    for line in _stream_lines(stream, size):
+        parts = line.split()
+        if parts:
             if _is_number(parts[0]):
-                return header, lines[i:]
+                return header, offset
             if len(parts) != 2:
-                raise FormatError(f"malformed header line: {line!r}")
+                raise FormatError(f"malformed header line: {line.splitlines()[0]!r}")
             key = parts[0].lower()
             if key in header:
                 raise FormatError(f"duplicate header key {key}")
             header[key] = parts[1]
-    return header, []
+        offset += len(line.encode("utf-8", "surrogateescape"))
+    return header, offset
 
 
 def _asc_rows(lines, out: np.ndarray | None, ncols: int) -> tuple[int, tuple[int, int] | None, int | None]:
@@ -213,7 +217,7 @@ def _asc_rows(lines, out: np.ndarray | None, ncols: int) -> tuple[int, tuple[int
             ragged = (r, len(parts))
         elif bad_row is None and r < room:
             try:
-                out[r] = np.fromiter(map(float, parts), np.float64, ncols)
+                out[r] = parts  # each token parsed as float() parses it
             except ValueError:
                 bad_row = r
     return rows, ragged, bad_row
@@ -230,19 +234,20 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
     check.
 
     From ``_BAND_CELLS`` cells the data rows are parsed in byte bands, one
-    per usable core.  The cuts fall just past a LF, so no band splits a
-    character or a CRLF pair.  Each band streams its own bytes, one physical
-    line at a time; band 0 runs in the caller and parses into the grid, and
-    every other band parses into a shared mapping that the caller copies
-    into place.  A pipe is read whole, as one band.
+    per usable core.  The header gives the offset of the first data row, and
+    each later cut falls just past the end of a line.  Every band seeks to
+    its cut and streams its bytes, at most ``_CHUNK`` at a time; band 0 runs
+    in the caller and parses into the grid, and every other band parses into
+    a shared mapping that the caller copies into place.  A pipe is read
+    whole, as one band.
     """
-    with open(path, "rb") as stream:
-        info = os.fstat(stream.fileno())
-        size = info.st_size  # bytes, at least one per character
-        if not stat.S_ISREG(info.st_mode):  # a pipe has no size and cannot seek: hold its bytes
-            stream = io.BytesIO(stream.read())
-            size = len(stream.getvalue())
-        header, head = _asc_header(stream)
+    regular = stat.S_ISREG(os.stat(path).st_mode)
+    # a pipe cannot seek, and no later band could open it: hold its bytes
+    reopen = functools.partial(open, path, "rb") if regular else functools.partial(io.BytesIO, Path(path).read_bytes())
+    with reopen() as stream:
+        size = stream.seek(0, io.SEEK_END)  # bytes, at least one per character
+        stream.seek(0)
+        header, start = _asc_header(stream, size)
 
         for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
             if key not in header:
@@ -262,31 +267,26 @@ def read_asc_grid(path: str | os.PathLike) -> ScalarGrid:
         values = None
         if 1 <= nrows and 1 <= ncols and nrows * ncols <= (size + 1) // 2:
             values = np.empty((nrows, ncols), dtype=np.float64)
-        bands = 1  # nothing to parse into, or a pipe, which later bands could not open
-        if values is not None and values.size >= _BAND_CELLS and stat.S_ISREG(info.st_mode):
+        bands = 1  # nothing to parse into, or a pipe
+        if values is not None and values.size >= _BAND_CELLS and regular:
             bands = worker_count(nrows)
-        # about equal byte shares of the data, each cut moved on to just past a LF
-        start = stream.tell()
+        # about equal byte shares of the data, each cut moved on to just past a line's end
         cuts = [start]
         for k in range(1, bands):
-            stream.seek(start + k * (size - start) // bands)
-            stream.readline()
-            cuts.append(stream.tell())
+            stream.seek(at := start + k * (size - start) // bands)
+            cuts.append(at + len(next(_stream_lines(stream, size - at), "").encode("utf-8", "surrogateescape")))
         cuts.append(size)
-        stream.seek(start)
-        # each later band parses into a mapping of its own, sized for the rows its bytes can hold
-        rooms = [min(nrows, (cuts[k + 1] - cuts[k] + 1) // 2 // ncols) for k in range(1, bands)]
-        maps = [_shared(8 * ncols * room) for room in rooms]
-        regions = [values] + [np.frombuffer(m, np.float64, len(m) // 8).reshape(-1, ncols) for m in maps]
+    # each later band parses into a mapping of its own, sized for the rows its bytes can hold
+    rooms = [min(nrows, (cuts[k + 1] - cuts[k] + 1) // 2 // ncols) for k in range(1, bands)]
+    maps = [_shared(8 * ncols * room) for room in rooms]
+    regions = [values] + [np.frombuffer(m, np.float64, len(m) // 8).reshape(-1, ncols) for m in maps]
 
-        def band(k: int) -> tuple[int, tuple[int, int] | None, int | None]:
-            if k == 0:
-                return _asc_rows(itertools.chain(head, _stream_lines(stream, cuts[1] - start)), values, ncols)
-            with open(path, "rb") as own:  # a file offset of its own
-                own.seek(cuts[k])
-                return _asc_rows(_stream_lines(own, cuts[k + 1] - cuts[k]), regions[k], ncols)
+    def band(k: int) -> tuple[int, tuple[int, int] | None, int | None]:
+        with reopen() as own:  # a file offset of its own
+            own.seek(cuts[k])
+            return _asc_rows(_stream_lines(own, cuts[k + 1] - cuts[k]), regions[k], ncols)
 
-        results = fork_map(band, bands)
+    results = fork_map(band, bands)
 
     rows = 0
     ragged: tuple[int, int] | None = None  # (row, tokens) of the first ragged row

@@ -8,11 +8,11 @@ Otsu foreground masking, background seed removal, and nearest-seed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grids import GrayImage, LabelMap, ScalarGrid, _check_params, _param
+from .grids import GrayImage, LabelMap, ScalarGrid, _check_field, _check_params, _param
 
 # Voronoi labelling works on _TILE × _TILE tiles.  On a 1000² hillshade, 16
 # was 1.7–2.8× slower at sigma 20 and 10, and 64 was 2.7–3.7× slower at sigma ≤ 2.
@@ -29,6 +29,10 @@ class VoronoiParams:
     invert_foreground: bool = False
 
     __post_init__ = _check_params
+
+
+# the bounds of VoronoiParams' fields, which the stage functions' arguments share
+_FIELD_BOUNDS = {f.name: f.metadata for f in fields(VoronoiParams)}
 
 
 @dataclass
@@ -62,8 +66,7 @@ def gaussian_blur(img: GrayImage, sigma: float) -> ScalarGrid:
     The sampled kernel is normalised to sum 1 so constants are preserved;
     borders replicate the edge pixel.  Output stays floating point.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _check_field("sigma", sigma, float, _FIELD_BOUNDS["sigma"])
     radius = math.ceil(3.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
@@ -82,11 +85,12 @@ def detect_local_maxima(grid: ScalarGrid, peak_radius: int) -> SeedSet:
     peak_radius.  Equal-valued adjacent candidates form a plateau that yields
     one seed at the member pixel nearest the plateau centroid.  Seeds are then
     accepted in decreasing intensity (ties: scan order) while suppressing any
-    candidate within peak_radius (Chebyshev) of an accepted seed.
+    candidate within peak_radius (Chebyshev) of an accepted seed.  A radius
+    past the grid's longer side gives the seeds of that side.
     """
-    if peak_radius < 1:
-        raise ValueError("peak_radius must be >= 1")
+    _check_field("peak_radius", peak_radius, int, _FIELD_BOUNDS["peak_radius"])
     v = grid.values
+    peak_radius = min(peak_radius, max(v.shape))  # a window that covers the grid already
     if grid.nodata is not None:
         mask = grid.nodata_mask
         v = np.where(mask, -np.inf, v)

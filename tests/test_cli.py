@@ -228,6 +228,18 @@ class TestSegmentCommands:
         assert err == {"error": "ValueError", "message": "sigma must be < inf, got inf"}
         assert not out.exists()
 
+    def test_voronoi_peak_radius_past_the_image_runs_as_its_side(self, tmp_path):
+        px = np.random.default_rng(2).integers(0, 255, size=(24, 20)).astype(np.uint8)
+        src = tmp_path / "img.pgm"
+        write_gray_pgm16(GrayImage(px), src)
+        maps = []
+        for radius in ("24", "1000000000000"):
+            out = tmp_path / f"voronoi-{radius}.pgm"
+            argv = ["segment", "voronoi", "--in", str(src), "--sigma", "1", "--peak-radius", radius, "--out", str(out)]
+            assert main(argv) == 0
+            maps.append(out.read_bytes())
+        assert maps[0] == maps[1]
+
     @pytest.mark.parametrize(
         "argv, classes",
         [

@@ -20,7 +20,8 @@ The netpbm readers hold the file's bytes and the stored array; the writers
 hold at most the big-endian samples, and write the header before them.
 The ASC reader and writer run in row bands at this size on two or more
 cores; ``tracemalloc`` sees only the caller's band, not the shared mappings
-the other bands fill.
+the other bands fill.  The reader is held to the same budget whether the
+file's lines end in LF or in CR alone.
 ``LabelMap.region_sizes`` has an absolute bound instead: its table follows
 the labels present, not the largest label.  ``mean_shift_filter`` is held
 at 128x128 on one core: its batch temporaries are a fixed size (about
@@ -118,6 +119,13 @@ def peak_bytes_per_pixel(stage, pixels: int = N * N) -> float:
 def test_read_asc_grid(dsm, tmp_path):
     path = tmp_path / "dsm.asc"
     write_asc_grid(dsm, path)
+    assert peak_bytes_per_pixel(lambda: read_asc_grid(path)) <= 12
+
+
+def test_read_asc_grid_with_cr_line_ends(dsm, tmp_path):
+    path = tmp_path / "dsm.asc"
+    write_asc_grid(dsm, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
     assert peak_bytes_per_pixel(lambda: read_asc_grid(path)) <= 12
 
 

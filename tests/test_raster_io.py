@@ -75,13 +75,15 @@ def asc_texts(draw) -> str:
 
 @pytest.fixture
 def force_bands(monkeypatch):
-    """``force_bands(n)``: every ASC read with a grid to parse into, and every
-    write, runs in n bands from then on, all of them in this process."""
+    """``force_bands(n, chunk)``: every ASC read with a grid to parse into, and
+    every write, runs in n bands from then on, all of them in this process,
+    reading ``chunk`` bytes at a time (by default the module's own count)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the fork map's own count: 1
     monkeypatch.setattr(raster_io, "_BAND_CELLS", 0)
 
-    def force(bands):
+    def force(bands, chunk=raster_io._CHUNK):
         monkeypatch.setattr(raster_io, "worker_count", lambda n: bands)
+        monkeypatch.setattr(raster_io, "_CHUNK", chunk)
 
     return force
 
@@ -482,7 +484,8 @@ class TestAscBands:
     against the one-stream oracles."""
 
     # every second row ends in the separator, the others in LF; the padding
-    # on row 1 moves the cut targets across every byte of the later rows
+    # on row 1 moves the cut targets across every byte of the later rows, and
+    # reads of 4 bytes carry every row and separator across several of them
     @pytest.mark.parametrize(
         "sep", ["\n\n", "\r\n", "\r", "\u2028", "\x85", "\n  \n"],
         ids=["blank-line", "crlf", "cr", "u2028", "nel", "spaces-line"],
@@ -497,12 +500,67 @@ class TestAscBands:
             expected = _stream_read(path)
             assert np.array_equal(expected.values, [[r + 0.25, -r * 1e3] for r in range(8)])
             for bands in range(1, 5):
-                band_rows.clear()
-                force_bands(bands)
-                _assert_same_read(_read(path), expected)
-                assert len(band_rows) == bands and sum(band_rows) == 8
+                for chunk in (raster_io._CHUNK, 4):
+                    band_rows.clear()
+                    force_bands(bands, chunk)
+                    _assert_same_read(_read(path), expected)
+                    assert len(band_rows) == bands and sum(band_rows) == 8
         # the cuts did split the rows between bands
         assert max(band_rows[1:]) > 0
+
+    @pytest.mark.parametrize("bands", [2, 3, 4])
+    def test_cr_line_ends_split_into_bands(self, tmp_path, force_bands, band_rows, bands):
+        path = tmp_path / "cr.asc"
+        path.write_bytes((_HEAD + "".join(f"{r}.25 -{r}e3\r" for r in range(8))).replace("\n", "\r").encode())
+        expected = _stream_read(path)
+        assert np.array_equal(expected.values, [[r + 0.25, -r * 1e3] for r in range(8)])
+        force_bands(bands)
+        _assert_same_read(_read(path), expected)
+        assert len(band_rows) == bands and sum(band_rows) == 8
+        assert sum(count > 0 for count in band_rows) > 1
+
+    @pytest.mark.parametrize("sep", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_rows_longer_than_a_read(self, tmp_path, force_bands, sep):
+        values = np.random.default_rng(0).normal(scale=1e6, size=(5, 4000))
+        rows = [" ".join(map(repr, row)) for row in values.tolist()]
+        assert min(map(len, rows)) > raster_io._CHUNK
+        path = tmp_path / "long.asc"
+        head = _HEAD.replace("ncols 2", "ncols 4000").replace("nrows 8", "nrows 5").replace("\n", sep)
+        for text in (head + sep.join(rows) + sep, head + sep.join(rows[:2] + ["1 x"] + rows[3:])):
+            path.write_bytes(text.encode())
+            expected = _stream_read(path)
+            for bands in range(1, 5):
+                force_bands(bands)
+                _assert_same_read(_read(path), expected)
+        assert expected == "row 2 has 2 tokens, expected 4000"
+
+    def test_crlf_split_at_the_read_limit(self, tmp_path, force_bands, band_rows):
+        # a 12-byte read of a row of 9 + 2 spaces ends in its CR, and the LF starts the next
+        for pad in range(8):
+            path = tmp_path / f"crlf{pad}.asc"
+            rows = [f"{r}.25 -{r}e3" + " " * pad for r in range(8)]
+            for last in ("", "\r\n1 2"):
+                path.write_bytes((_HEAD + "".join(row + "\r\n" for row in rows) + last).encode())
+                expected = _stream_read(path)
+                for bands in range(1, 5):
+                    band_rows.clear()
+                    force_bands(bands, 12)
+                    _assert_same_read(_read(path), expected)
+                    assert sum(band_rows) == 8 + bool(last)
+        assert expected == "expected 8 data rows, got 9"
+
+    @pytest.mark.parametrize("blank", ["\n", "\r", "\r\n", " \t\r"], ids=["lf", "cr", "crlf", "spaces-cr"])
+    def test_header_blank_lines_across_reads(self, tmp_path, force_bands, blank):
+        run = blank * (3 * 64 // len(blank))  # three reads of 64 bytes
+        path = tmp_path / "blank.asc"
+        lines = _HEAD.splitlines(keepends=True)
+        for head in (run.join(lines) + run, run.join(lines[:3] + ["cellsize 1 2\n"]) + run):
+            path.write_bytes((head + "1 2\n" * 8).encode())
+            expected = _stream_read(path)
+            for bands in range(1, 5):
+                force_bands(bands, 64)
+                _assert_same_read(_read(path), expected)
+        assert expected == "malformed header line: 'cellsize 1 2'"
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -146,6 +146,19 @@ class TestDetectLocalMaxima:
         ours = list(zip(seeds.xs.tolist(), seeds.ys.tolist(), seeds.intensities.tolist()))
         assert ours == plateau_peak_seeds(vals, peak_radius, grid.nodata_mask)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_radius_past_the_grid_matches_the_oracle(self, seed):
+        # the window is cut to the grid's longer side, which already covers it
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(2, 9, size=2)
+        vals = rng.integers(0, 4, size=(h, w)).astype(np.float64)
+        vals[rng.random((h, w)) < 0.2] = -9999.0
+        grid = ScalarGrid(vals, nodata=-9999.0)
+        for peak_radius in (max(h, w) - 1, max(h, w), max(h, w) + 1, 10**12):
+            seeds = detect_local_maxima(grid, peak_radius)
+            ours = list(zip(seeds.xs.tolist(), seeds.ys.tolist(), seeds.intensities.tolist()))
+            assert ours == plateau_peak_seeds(vals, peak_radius, grid.nodata_mask)
+
 
 class TestOtsu:
     def test_perfectly_bimodal(self):
@@ -295,10 +308,18 @@ class TestVoronoiLabel:
     "call, message",
     [
         (lambda: SeedSet(np.array([1, 2]), np.array([1]), np.array([0, 0])), "seed arrays must be 1-D and equally long"),
-        (lambda: detect_local_maxima(ScalarGrid(np.zeros((4, 4))), 0), "peak_radius must be >= 1"),
+        (lambda: detect_local_maxima(ScalarGrid(np.zeros((4, 4))), 0), "peak_radius must be >= 1, got 0"),
+        (lambda: detect_local_maxima(ScalarGrid(np.zeros((4, 4))), 2.5), "peak_radius must be an integer, got 2.5"),
+        (lambda: detect_local_maxima(ScalarGrid(np.zeros((4, 4))), True), "peak_radius must be an integer, got True"),
+        (lambda: gaussian_blur(GrayImage(np.zeros((4, 4), np.uint8)), math.inf), "sigma must be < inf, got inf"),
+        (lambda: gaussian_blur(GrayImage(np.zeros((4, 4), np.uint8)), "2"), "sigma must be a number, got '2'"),
+        (lambda: gaussian_blur(GrayImage(np.zeros((4, 4), np.uint8)), math.nan), "sigma must be > 0, got nan"),
         (lambda: voronoi_label(SeedSet([0, 4], [0, 0], [1, 1]), 4, 3), "seed coordinates out of bounds"),
     ],
-    ids=["unequal-seed-arrays", "peak-radius-0", "seed-outside"],
+    ids=[
+        "unequal-seed-arrays", "peak-radius-0", "peak-radius-fraction", "peak-radius-bool", "sigma-inf",
+        "sigma-text", "sigma-nan", "seed-outside",
+    ],
 )
 def test_malformed_arguments_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
