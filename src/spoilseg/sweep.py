@@ -45,11 +45,11 @@ class Algorithm(NamedTuple):
 
 # The lambdas look their functions up when called, so a wrapper installed on
 # a module attribute (a tracer, a test double) before a sweep starts runs for
-# every row, in the forked workers too.  Workers send back only their rows'
-# scores or errors, or a mean shift shard's modes: what a wrapper records in
-# a worker, the parent never sees.  Forks never nest: a sweep of two or more
-# rows parallelises over rows, and each row's mean shift filter runs
-# serially; a one-row sweep may shard the filter's moving pixels instead.
+# every row, in the forked workers too.  Workers pickle back, each through its
+# own in-memory file, only their rows' scores or errors, or a shard's modes:
+# what a wrapper records in a worker, the parent never sees.  Forks never
+# nest: a sweep of two or more rows parallelises over rows, and each row's
+# mean shift filter runs serially; a one-row sweep may shard it instead.
 # Mean shift and SLIC end in ``merge_small_regions``, already connected 1..K;
 # only the Voronoi cells, split by the foreground mask, need relabelling.
 ALGORITHMS = {

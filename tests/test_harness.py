@@ -4,13 +4,14 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import reap_children
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import synth_pilefield_full
@@ -317,7 +318,7 @@ class TestParallelRows:
     def test_parallel_and_serial_reports_are_byte_identical(self, pilefield, color_inputs, monkeypatch, algorithm):
         cfg = self.configs(pilefield, color_inputs)[algorithm]
         parallel = run_sweep(cfg)
-        assert multiprocessing.active_children() == []
+        assert reap_children() == []
         assert parallel.rows[1].error is not None
         assert sum(row.scores is not None for row in parallel.rows) >= 2
         for affinity in (True, False):
@@ -336,7 +337,7 @@ class TestParallelRows:
 
         hs, gt = pilefield
         report = run_sweep(voronoi_config(hs, gt, {"sigma": [Sigma(6.0), Sigma(12.0), Sigma(60.0)]}))
-        assert multiprocessing.active_children() == []
+        assert reap_children() == []
         assert [row.error for row in report.rows] == [None, None, None]
         assert [row["params"] for row in json.loads(report_json(report))["rows"]] == [
             {"sigma": s} for s in (6.0, 12.0, 60.0)
@@ -346,18 +347,17 @@ class TestParallelRows:
         def segment(img, p):  # each row's error names the process that ran it
             raise RuntimeError(os.getpid())
 
-        # two processes: with more, a worker done with its share before
-        # another worker starts may take that worker's share too
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setitem(ALGORITHMS, "voronoi", ALGORITHMS["voronoi"]._replace(segment=segment))
         hs, gt = pilefield
-        rows = run_sweep(voronoi_config(hs, gt, {"sigma": [float(s) for s in range(1, 8)]})).rows
-        w = worker_count(len(rows))
-        assert w == 2 and 2 * w <= len(rows)
-        pids = [row.error for row in rows]
-        for i, j in itertools.product(range(len(rows)), repeat=2):
-            assert (pids[i] == pids[j]) == (i % w == j % w), (i, j, pids)
-        assert pids[0] == f"RuntimeError: {os.getpid()}"
+        for cores in (2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            rows = run_sweep(voronoi_config(hs, gt, {"sigma": [float(s) for s in range(1, 8)]})).rows
+            w = worker_count(len(rows))
+            assert w == cores and 2 * w <= len(rows)
+            pids = [row.error for row in rows]
+            for i, j in itertools.product(range(len(rows)), repeat=2):
+                assert (pids[i] == pids[j]) == (i % w == j % w), (i, j, pids)
+            assert pids[0] == f"RuntimeError: {os.getpid()}"
 
     @pytest.mark.parametrize("one_core", [False, True], ids=["parallel", "serial"])
     def test_all_error_grid_exits_1(self, pilefield, tmp_path, monkeypatch, capsys, one_core):
@@ -382,7 +382,7 @@ class TestParallelRows:
         assert [row["error"] for row in json.loads(out.read_text())["rows"]] == [
             f"ValueError: sigma must be > 0, got {s}" for s in (-1, -2, -3)
         ]
-        assert multiprocessing.active_children() == []
+        assert reap_children() == []
 
     @needs_two_cores
     def test_a_dying_worker_fails_the_sweep(self, pilefield, tmp_path, monkeypatch, capsys):
@@ -409,27 +409,26 @@ class TestParallelRows:
         assert main(["sweep", "--config", str(cfg), "--json", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert json.loads(err)["error"] == "BrokenProcessPool"
+        assert json.loads(err)["error"] == "ChildProcessError"
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert reap_children() == []
 
 
 @pytest.fixture
-def pools(tmp_path, monkeypatch):
-    """Count the process pools built, in this process or a forked one: each
-    construction appends a line to a file."""
-    import concurrent.futures
-
-    log = tmp_path / "pools.log"
+def forking_maps(tmp_path, monkeypatch):
+    """Count the fork maps that fork, in this process or a forked one: each
+    ``os.fork`` appends a line to a file, and with two usable cores a map
+    that forks does so once."""
+    log = tmp_path / "forks.log"
     log.touch()
+    fork = os.fork
 
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            with open(log, "a") as f:
-                f.write(f"{os.getpid()}\n")
-            super().__init__(*args, **kwargs)
+    def counted():
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(os, "fork", counted)
     return lambda: len(log.read_text().splitlines())
 
 
@@ -453,24 +452,24 @@ class TestForkMap:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(meanshift, "_SHARD_CELLS", 1)
 
-    def test_a_sweep_of_rows_builds_one_pool(self, color_inputs, pools):
+    def test_a_sweep_of_rows_builds_one_pool(self, color_inputs, forking_maps):
         report = run_sweep(self.meanshift_sweep(color_inputs, [30.0, 10.0, 20.0]))
         assert [row.error for row in report.rows] == [None, None, None]
-        assert pools() == 1
-        assert _fork._fn is None
+        assert forking_maps() == 1
+        assert _fork._running is False
 
-    def test_a_one_row_sweep_shards_its_filter(self, color_inputs, pools):
+    def test_a_one_row_sweep_shards_its_filter(self, color_inputs, forking_maps):
         report = run_sweep(self.meanshift_sweep(color_inputs, [30.0]))
         assert report.rows[0].error is None
-        assert pools() == 1
+        assert forking_maps() == 1
 
-    def test_one_core_builds_no_pool(self, color_inputs, tmp_path, monkeypatch, pools):
+    def test_one_core_builds_no_pool(self, color_inputs, tmp_path, monkeypatch, forking_maps):
         serial(monkeypatch)
         out = tmp_path / "seg.pgm"
         argv = ["segment", "meanshift", "--in", str(color_inputs / "tones.ppm"), "--hs", "2", "--out", str(out)]
         assert main(argv) == 0
         assert out.exists()
-        assert pools() == 0
+        assert forking_maps() == 0
 
     def test_a_dying_shard_fails_the_command(self, color_inputs, tmp_path, monkeypatch, capsys):
         parent, fork_map = os.getpid(), meanshift.fork_map
@@ -489,10 +488,47 @@ class TestForkMap:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert json.loads(err)["error"] == "BrokenProcessPool"
+        assert json.loads(err)["error"] == "ChildProcessError"
         assert not out.exists()
-        assert multiprocessing.active_children() == []
-        assert _fork._fn is None
+        assert reap_children() == []
+        assert _fork._running is False
+
+    def test_a_share_that_cannot_be_pickled_fails_the_map(self):
+        parent = os.getpid()
+
+        class Local(Exception):  # a local class: pickle cannot find it by name
+            pass
+
+        def fn(i):
+            if os.getpid() == parent:
+                return i
+            if i == 1:
+                return Local(i)
+            raise Local(i)
+
+        for n in (2, 4):  # the worker's share {1} returns a Local; share {1, 3} raises one
+            with pytest.raises(ChildProcessError, match="exited with status 1"):
+                _fork.fork_map(fn, n)
+            assert reap_children() == []
+
+    def test_errors_propagate_the_callers_first_then_in_share_order(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+        def failing(shares):
+            def fn(i):
+                if i % 3 in shares:
+                    time.sleep(0.05 * (2 - i % 3))  # later shares fail sooner
+                    raise ValueError(i % 3)
+                return i
+
+            return fn
+
+        for shares, first in (({0, 1, 2}, 0), ({1, 2}, 1), ({2}, 2)):
+            with pytest.raises(ValueError) as raised:
+                _fork.fork_map(failing(shares), 6)
+            assert raised.value.args == (first,)
+            assert reap_children() == []
+        assert _fork.fork_map(failing(set()), 6) == list(range(6))
 
 
 class TestShardGate:
@@ -503,21 +539,21 @@ class TestShardGate:
     def two_cores(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
-    def test_one_step_noise_builds_no_pool(self, pools):
+    def test_one_step_noise_builds_no_pool(self, forking_maps):
         # 4096 pixels x 101 stencil cells is above the floor, but at range
         # radius 1 a noise pixel's kernel holds only itself: it stops at once
         img = RasterRGB(np.random.default_rng(7).integers(0, 256, (64, 64, 3), dtype=np.uint8))
         assert 101 * 64 * 64 >= meanshift._SHARD_CELLS
         meanshift.mean_shift_filter(img, meanshift.MeanShiftParams(5, 1, 1))
-        assert pools() == 0
+        assert forking_maps() == 0
 
-    def test_pixels_that_keep_moving_build_one(self, pools, monkeypatch):
+    def test_pixels_that_keep_moving_build_one(self, forking_maps, monkeypatch):
         rng = np.random.default_rng(64)
         blocks = rng.integers(0, 256, size=(8, 8, 3)).repeat(8, axis=0).repeat(8, axis=1)
         img = RasterRGB(np.clip(blocks + rng.integers(-6, 7, size=(64, 64, 3)), 0, 255).astype(np.uint8))
         p = meanshift.MeanShiftParams(5, 12, 1)
         sharded = meanshift.mean_shift_filter(img, p)
-        assert pools() == 1
+        assert forking_maps() == 1
         serial(monkeypatch)
         assert np.array_equal(sharded, meanshift.mean_shift_filter(img, p))
 

@@ -111,6 +111,16 @@ def test_link_components_match_the_doubled_grid(seed, h, w):
     assert np.array_equal(_link_components(modes, p), expected)
 
 
+def run_fresh(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this checkout's spoilseg."""
+    env = dict(os.environ)
+    src = str(Path(spoilseg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 @pytest.mark.parametrize(
     "module", ["scipy.ndimage", "scipy.sparse.csgraph", "scipy", "multiprocessing", "concurrent.futures.process"]
 )
@@ -119,12 +129,26 @@ def test_importing_the_package_does_not_load_scipy(package, module):
     # the components kernel imports scipy.sparse.csgraph, and the blur and
     # the plateau search import scipy.ndimage, on first use; no other module
     # needs scipy, and at package import each would cost every command about
-    # 0.3 s.  The fork map of sweep rows and mean shift shards imports the
-    # process pool (about 20 ms) only when it forks.
-    env = dict(os.environ)
-    src = str(Path(spoilseg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"import sys, {package}; print({module!r} in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    # 0.3 s.  The fork map forks its workers itself: no process pool module
+    # (about 20 ms to import) is loaded, here or by a map that forks (below).
+    assert run_fresh(f"import sys, {package}; print({module!r} in sys.modules)") == "False"
+
+
+def test_a_sharded_meanshift_loads_no_process_pool(tmp_path):
+    rng = np.random.default_rng(64)
+    blocks = rng.integers(0, 256, size=(4, 4, 3)).repeat(8, axis=0).repeat(8, axis=1)
+    img = np.clip(blocks + rng.integers(-6, 7, size=(32, 32, 3)), 0, 255).astype(np.uint8)
+    spoilseg.write_ppm(spoilseg.RasterRGB(img), tmp_path / "in.ppm")
+    argv = ["segment", "meanshift", "--in", str(tmp_path / "in.ppm"), "--hs", "2", "--out", str(tmp_path / "out.pgm")]
+    code = f"""
+import os, sys
+from spoilseg import meanshift
+from spoilseg.cli import main
+os.sched_getaffinity = lambda pid: {{0, 1}}
+meanshift._SHARD_CELLS = 1
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(os.getpid()) or fork()
+status = main({argv!r})
+print(status, len(forks), [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules])
+"""
+    assert run_fresh(code) == "0 1 []"

@@ -257,6 +257,12 @@ class TestPgm16:
         write_pgm16(m, path)
         assert np.array_equal(read_pgm16(path).labels, m.labels)
 
+    def test_top_label_65535_round_trips(self, tmp_path):
+        m = LabelMap(np.array([[0, 1], [65534, 65535]], dtype=np.int32))
+        path = tmp_path / "top.pgm"
+        write_pgm16(m, path)
+        assert np.array_equal(read_pgm16(path).labels, m.labels)
+
     def test_gray_carrier_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         img = GrayImage(rng.integers(0, 256, size=(9, 7)).astype(np.uint8))
@@ -286,6 +292,14 @@ class TestAscGrid:
         assert (g.width, g.height) == (2, 1)
         assert g.cellsize == 0.05
         assert g.values.ravel().tolist() == [1.5, 2.5]
+
+    def test_one_digit_cells_fill_the_file(self, tmp_path):
+        # one character and one separator per cell: the densest grid a file holds
+        cells = np.arange(100).reshape(10, 10) % 10
+        path = tmp_path / "dense.asc"
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in cells)
+        path.write_text("ncols 10\nnrows 10\nxllcorner 0\nyllcorner 0\ncellsize 1\n" + rows)
+        assert np.array_equal(read_asc_grid(path).values, cells)
 
     def test_nodata_flagged(self, tmp_path):
         path = tmp_path / "nd.asc"
